@@ -1,13 +1,17 @@
 """Numeric kernels: Jacobi eigensolver, one-sided Jacobi SVD, xorshift64* fills.
 
-The functions here are written as plain Python loops over numpy arrays and
-are JIT-compiled with numba when it is importable.  Without numba the same
-source runs interpreted (slow but identical results); a test pins the two
-modes to bit-identical outputs for the PRNG fills.
+The two Jacobi kernels are vectorized with numpy: they visit the pairs in
+the round-robin ordering of Brent and Luk, whose every step is a set of
+n/2 disjoint pairs, so one step rotates all of them with a few array
+operations.  The PRNG fills are scalar loops, JIT-compiled with numba when
+it is importable and interpreted otherwise; a test pins the two modes to
+bit-identical outputs.
 
 All kernels are pure: inputs are never aliased to outputs except where a
 buffer is explicitly documented as modified in place.
 """
+
+import functools
 
 import numpy as np
 
@@ -42,106 +46,120 @@ _SM_M2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
-@njit(cache=True)
+@functools.lru_cache(maxsize=None)
+def _round_robin(n):
+    """Brent-Luk round-robin schedule for indices 0..n-1, cached per n.
+
+    Returns a tuple of steps (p, q): read-only integer index arrays with
+    p < q elementwise whose pairs are disjoint within a step, and every
+    pair p < q occurs in exactly one step.  That is n - 1 steps for even n
+    and n steps for odd n (one index sits out each step); none for n <= 1.
+    """
+    size = n + n % 2  # odd n: a phantom index n, whose pairs are dropped
+    half = size // 2
+    ring = np.arange(size)
+    steps = []
+    for _ in range(size - 1):
+        lo = np.minimum(ring[:half], ring[::-1][:half])
+        hi = np.maximum(ring[:half], ring[::-1][:half])
+        step = (lo[hi < n], hi[hi < n])
+        for idx in step:
+            idx.flags.writeable = False
+        steps.append(step)
+        ring = np.concatenate([ring[:1], ring[-1:], ring[1:-1]])
+    return tuple(steps)
+
+
+def _rotation(d, off):
+    """Cosine and sine of the Jacobi rotations that annihilate ``off`` for
+    pairs whose diagonal difference is ``d`` (elementwise arrays).
+
+    t = tan(theta) is the smaller root of t^2 + (d / off) t - 1 = 0, taken
+    as sgn(d) off / (|d|/2 + hypot(d/2, off)) so that no division by
+    ``off`` can overflow; pairs with off = 0 get the identity.
+    """
+    half = 0.5 * d
+    den = np.abs(half) + np.hypot(half, off)
+    t = np.where(d >= 0.0, off, -off) / np.where(den > 0.0, den, 1.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c, t * c
+
+
 def jacobi_eigh(a, sweep_tol, max_sweeps):
-    """Cyclic Jacobi diagonalization of the symmetric matrix ``a`` (modified
-    in place).  Returns (diagonal, accumulated rotations); eigenvalues are
-    unsorted.  Sweeps stop once the off-diagonal Frobenius norm drops below
-    sweep_tol times the Frobenius norm of the input."""
+    """Jacobi diagonalization of the symmetric matrix ``a`` (modified in
+    place).  Returns (diagonal, accumulated rotations); eigenvalues are
+    unsorted.  Sweeps use the round-robin ordering, each step rotating n/2
+    disjoint pairs at once, and stop once the off-diagonal Frobenius norm
+    drops below sweep_tol times the Frobenius norm of the input."""
     n = a.shape[0]
-    v = np.eye(n)
-    scale = 0.0
-    for i in range(n):
-        for j in range(n):
-            scale += a[i, j] * a[i, j]
-    scale = np.sqrt(scale)
-    w = np.empty(n)
+    scale = np.sqrt(np.sum(a * a))
     if scale == 0.0:
-        for i in range(n):
-            w[i] = 0.0
-        return w, v
+        return np.zeros(n), np.eye(n)
+    # The rotations act on the columns of A and V alike: stack V under A.
+    work = np.vstack([a, np.eye(n)])
+    top = work[:n]
+    upper = np.triu_indices(n, 1)
+    steps = _round_robin(n)
     for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += a[p, q] * a[p, q]
-        off = np.sqrt(2.0 * off)
+        off = np.sqrt(2.0 * np.sum(np.square(top[upper])))
         if off <= sweep_tol * scale:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    for i in range(n):
-        w[i] = a[i, i]
-    return w, v
+        for p, q in steps:
+            c, s = _rotation(top[q, q] - top[p, p], top[p, q])
+            wp = work[:, p]
+            wq = work[:, q]
+            work[:, p] = c * wp - s * wq
+            work[:, q] = s * wp + c * wq
+            c = c[:, None]
+            s = s[:, None]
+            ap = top[p]
+            aq = top[q]
+            top[p] = c * ap - s * aq
+            top[q] = s * ap + c * aq
+            top[p, q] = 0.0  # zero in exact arithmetic: drop the rounding residue
+            top[q, p] = 0.0
+    a[...] = top
+    return a.diagonal().copy(), work[n:]
 
 
-@njit(cache=True)
 def onesided_jacobi(b, v, pair_tol, max_sweeps):
     """One-sided Jacobi orthogonalization of the columns of ``b`` (m >= n
     expected for efficiency, not required).  ``b`` and ``v`` are modified in
     place; on exit b = B0 @ v with pairwise-orthogonal columns, so the SVD
-    of the original B0 is read off from column norms."""
-    m, n = b.shape
+    of the original B0 is read off from column norms.  Sweeps use the
+    round-robin ordering; a pair is rotated only when
+    |gamma| > pair_tol * sqrt(alpha * beta), and the sweeps stop after one
+    that rotates nothing."""
+    m = b.shape[0]
+    # Row j of ``work`` is column j of b followed by column j of v.
+    work = np.hstack([b.T, v.T])
+    steps = _round_robin(b.shape[1])
     for _ in range(max_sweeps):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = 0.0
-                beta = 0.0
-                gamma = 0.0
-                for k in range(m):
-                    alpha += b[k, p] * b[k, p]
-                    beta += b[k, q] * b[k, q]
-                    gamma += b[k, p] * b[k, q]
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                if abs(gamma) <= pair_tol * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if zeta >= 0.0:
-                    t = 1.0 / (zeta + np.sqrt(1.0 + zeta * zeta))
-                else:
-                    t = -1.0 / (-zeta + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(m):
-                    bp = b[k, p]
-                    bq = b[k, q]
-                    b[k, p] = c * bp - s * bq
-                    b[k, q] = s * bp + c * bq
-                for k in range(n):
-                    vp = v[k, p]
-                    vq = v[k, q]
-                    v[k, p] = c * vp - s * vq
-                    v[k, q] = s * vp + c * vq
+        for p, q in steps:
+            wp = work[p]
+            wq = work[q]
+            bp = wp[:, :m]
+            bq = wq[:, :m]
+            alpha = np.einsum("ij,ij->i", bp, bp)
+            beta = np.einsum("ij,ij->i", bq, bq)
+            gamma = np.einsum("ij,ij->i", bp, bq)
+            act = np.abs(gamma) > pair_tol * np.sqrt(alpha * beta)
+            if not act.any():
+                continue
+            rotated = True
+            if not act.all():
+                p, q, wp, wq = p[act], q[act], wp[act], wq[act]
+                alpha, beta, gamma = alpha[act], beta[act], gamma[act]
+            c, s = _rotation(beta - alpha, gamma)
+            c = c[:, None]
+            s = s[:, None]
+            work[p] = c * wp - s * wq
+            work[q] = s * wp + c * wq
         if not rotated:
             break
+    b[...] = work[:, :m].T
+    v[...] = work[:, m:].T
 
 
 @njit(cache=True)

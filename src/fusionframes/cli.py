@@ -55,11 +55,7 @@ def _load_vector(path: str) -> np.ndarray:
     obj = _load_json(path)
     if not isinstance(obj, list):
         raise InputError(f"{path}: expected a JSON array of reals")
-    try:
-        vec = linalg.as_vector(obj, path)
-    except InputError:
-        raise
-    return vec
+    return linalg.as_vector(obj, path)
 
 
 def _fmt(x) -> str:

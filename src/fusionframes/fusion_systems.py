@@ -211,11 +211,17 @@ class WeightedSubspaceSystem:
                 )
 
     def frame_operator(self) -> np.ndarray:
-        """S = sum_i w_i^2 P_i, symmetric PSD."""
+        """S = sum_i w_i^2 P_i, symmetric PSD.  Raises InputError when a
+        squared weight is not a finite float."""
         if self._frame_op is None:
             s = np.zeros((self.ambient_dim, self.ambient_dim))
-            for m in self.members:
-                s += (m.weight ** 2) * m.subspace.projection()
+            for i, m in enumerate(self.members):
+                w2 = m.weight * m.weight
+                if not math.isfinite(w2):
+                    raise InputError(
+                        f"member {i}: weight {m.weight} has no finite square"
+                    )
+                s += w2 * m.subspace.projection()
             object.__setattr__(self, "_frame_op", 0.5 * (s + s.T))
         return self._frame_op
 
@@ -225,7 +231,6 @@ class WeightedSubspaceSystem:
         a_i in W_i it acts as sum_i w_i a_i, and its minimal-norm preimages
         automatically have blocks inside the W_i."""
         if self._synth is None:
-            n = self.ambient_dim
             t = np.hstack([m.weight * m.subspace.projection() for m in self.members])
             object.__setattr__(self, "_synth", t)
         return self._synth

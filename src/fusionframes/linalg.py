@@ -6,11 +6,15 @@ adjoint means transpose throughout.
 
 Algorithms, sized for desk-scale matrices (n <= 64 or so):
 
-* symmetric eigenproblem: cyclic Jacobi sweeps until the off-diagonal
-  Frobenius norm falls below 1e-12 times the matrix norm (at most 100
-  sweeps),
-* SVD: one-sided Jacobi on the columns (applied to the transpose when that
-  is the thin side), left vectors recovered from the orthogonalized columns,
+* symmetric eigenproblem: Jacobi sweeps in round-robin order (n/2
+  disjoint rotations per step) until the off-diagonal Frobenius norm falls
+  below 1e-12 times the matrix norm (at most 100 sweeps),
+* SVD: one-sided Jacobi on the columns in the same order (applied to the
+  transpose when that is the thin side), left vectors recovered from the
+  orthogonalized columns,
+* both factorizations run on the input scaled by a power of two that
+  brings its largest entry into [0.5, 1), and scale the results back;
+  this is exact (away from underflow) and keeps every intermediate finite,
 * rank decisions: singular values below ``tol`` times the largest one are
   treated as zero; the default ``tol`` is 1e-10 and every operation accepts
   an explicit override.
@@ -179,20 +183,30 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.T
 
 
+def _binary_exponent(m: np.ndarray) -> int:
+    """e such that the largest entry of ``m`` times 2**-e lies in [0.5, 1);
+    0 for an empty or zero matrix."""
+    return math.frexp(float(np.abs(m).max()))[1] if m.size else 0
+
+
 def sym_eig(s, symtol: float = _SYM_TOL) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix by Jacobi sweeps.
 
     Raises InputError when ``s`` is not symmetric within ``symtol`` relative
     to its norm.
     """
     s = require_square(as_matrix(s, "sym_eig input"), "sym_eig input")
+    e = _binary_exponent(s)
+    s = np.ldexp(s, -e)
     scale = np.linalg.norm(s)
     if scale > 0 and np.linalg.norm(s - s.T) > symtol * scale:
         raise InputError("sym_eig: input is not symmetric within tolerance")
     a = 0.5 * (s + s.T)
-    w, v = _kernels.jacobi_eigh(np.ascontiguousarray(a), _EIG_SWEEP_TOL, _MAX_SWEEPS)
+    w, v = _kernels.jacobi_eigh(a, _EIG_SWEEP_TOL, _MAX_SWEEPS)
     order = np.argsort(w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=np.ascontiguousarray(v[:, order]))
+    return Spectrum(
+        eigenvalues=np.ldexp(w[order], e), eigenvectors=np.ascontiguousarray(v[:, order])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +222,8 @@ def svd(m):
         k = min(rows, cols)
         return np.zeros((rows, k)), np.zeros(k), np.zeros((k, cols))
     if rows >= cols:
-        b = np.ascontiguousarray(m.copy())
+        e = _binary_exponent(m)
+        b = np.ldexp(m, -e)
         v = np.eye(cols)
         _kernels.onesided_jacobi(b, v, _SVD_PAIR_TOL, _MAX_SWEEPS)
         s = np.sqrt((b * b).sum(axis=0))
@@ -216,7 +231,7 @@ def svd(m):
         nz = s > 0
         u[:, nz] = b[:, nz] / s[nz]
         order = np.argsort(-s, kind="stable")
-        return u[:, order], s[order], v[:, order].T
+        return u[:, order], np.ldexp(s[order], e), v[:, order].T
     u2, s2, vt2 = svd(m.T)
     return vt2.T, s2, u2.T
 

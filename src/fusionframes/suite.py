@@ -134,7 +134,6 @@ def pencil_lower_bound(s, k, cut: float = 1e-10):
     scale = max(w.max(initial=0.0), 0.0)
     pos = w > cut * max(scale, 1e-300)
     if not np.any(pos):
-        g = k.T @ k
         return (math.inf, None) if np.linalg.norm(k) == 0 else (0.0, None)
     null = v[:, ~pos]
     if null.size:

@@ -71,6 +71,23 @@ def test_verify_truncated_json_exit_two(files, capsys):
     assert "line 1" in err
 
 
+def test_verify_weight_with_overflowing_square_exit_two(files, capsys):
+    heavy = write(
+        files["dir"] / "heavy.json",
+        {
+            "ambient_dim": 2,
+            "members": [
+                {"basis": {"rows": 2, "cols": 1, "data": [1.0, 0.0]}, "weight": 1e200},
+                {"basis": {"rows": 2, "cols": 1, "data": [0.0, 1.0]}, "weight": 1.0},
+            ],
+        },
+    )
+    code = main(["verify", "--system", heavy])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "weight" in err and "finite square" in err
+
+
 def test_exit_code_independent_of_format(files, capsys):
     args = ["verify", "--system", files["e2"], "--operator", files["diag10"]]
     text_code = main(args + ["--format", "text"])

@@ -159,6 +159,15 @@ def test_weights_must_be_positive():
         WeightedSubspaceSystem([Member(Subspace.full(2), -1.0)])
 
 
+def test_weight_without_finite_square_is_an_input_error():
+    system = coordinate_lines(2, [1e200, 1.0])  # representable, serializable
+    assert system.to_json()["members"][0]["weight"] == 1e200
+    with pytest.raises(InputError, match="finite square"):
+        system.frame_operator()
+    with pytest.raises(InputError, match="finite square"):
+        system.fusion_bounds()
+
+
 def test_members_share_ambient_dimension():
     with pytest.raises(InputError):
         WeightedSubspaceSystem(

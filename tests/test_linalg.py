@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fusionframes import linalg
+from fusionframes import _kernels, linalg
 from fusionframes.errors import InputError, NotPSDError
 
 
@@ -177,11 +177,23 @@ def test_svd_matches_numpy_values():
         elements=st.floats(min_value=-10, max_value=10, allow_nan=False),
     )
 )
+@example(m=np.array([[1.5, 1.0, 0.0], [1e-8, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 def test_pinv_penrose_hypothesis(m):
+    # Backward-error bound: any pseudo-inverse computed in floating point
+    # leaves Penrose residuals of order eps * kappa, where kappa is the
+    # largest over the smallest kept singular value.  The pinned matrix
+    # keeps sigma = 5.5e-9 next to 1.8, and numpy.linalg.pinv also leaves
+    # |MP - (MP)^T| = 4e-8 there.  MPM - M also contains the singular
+    # values cut to zero.
     p = linalg.pseudo_inverse(m)
-    scale = max(np.linalg.norm(m), 1e-300)
-    assert np.linalg.norm(m @ p @ m - m) <= 1e-10 * max(scale, 1.0)
-    assert np.linalg.norm((m @ p) - (m @ p).T) <= 1e-10 * max(1.0, scale)
+    sv = np.linalg.svd(m, compute_uv=False)
+    kept = sv[sv > linalg.DEFAULT_TOL * sv[0]]
+    kappa = kept[0] / kept[-1] if kept.size else 1.0
+    cut = np.linalg.norm(sv[kept.size :])
+    bound = 100 * np.finfo(float).eps * kappa
+    assert np.linalg.norm(m @ p @ m - m) <= cut + bound * np.linalg.norm(m)
+    # MP is an orthogonal projector: its residual does not scale with M.
+    assert np.linalg.norm((m @ p) - (m @ p).T) <= bound
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,3 +231,122 @@ def test_matrix_json_roundtrip():
 def test_matrix_json_rejects(obj):
     with pytest.raises(InputError):
         linalg.matrix_from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# Jacobi kernels against LAPACK on edge cases
+
+_SIZES = [0, 1, 2, 3, 5, 8, 32]
+_QUICK_SWEEPS = 25  # a quarter of linalg's sweep limit
+
+
+def _edge_matrix(kind, n):
+    """Symmetric test matrices; graded and rank-deficient ones are PSD."""
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "random":
+        a = rng.standard_normal((n, n))
+        return a + a.T
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(n))
+    if kind == "identity":
+        return np.eye(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if kind == "graded":
+        w = np.logspace(0, -12, n) if n > 1 else np.ones(n)
+    else:  # rank-deficient
+        w = np.where(np.arange(n) < n // 2, rng.uniform(1.0, 2.0, n), 0.0)
+    a = (q * w) @ q.T
+    return 0.5 * (a + a.T)
+
+
+_KINDS = ["random", "zero", "diagonal", "identity", "graded", "rank-deficient"]
+
+
+@pytest.mark.parametrize("n", list(range(10)) + [32])
+def test_round_robin_schedule_covers_each_pair_once(n):
+    seen = []
+    for p, q in _kernels._round_robin(n):
+        assert p.dtype.kind == "i" and q.dtype.kind == "i"
+        assert np.all(p < q)
+        assert len(set(p) | set(q)) == 2 * p.size  # disjoint within a step
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert len(_kernels._round_robin(n)) == (n if n % 2 else max(n - 1, 0))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("n", _SIZES)
+def test_sym_eig_edge_cases_match_lapack(kind, n):
+    a = _edge_matrix(kind, n)
+    scale = np.linalg.norm(a)
+    spec = linalg.sym_eig(a)
+    assert spec.eigenvalues.shape == (n,) and spec.eigenvectors.shape == (n, n)
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(a), rtol=0, atol=1e-13 * scale)
+    assert np.linalg.norm(spec.reconstruct() - a) <= 1e-12 * scale
+    v = spec.eigenvectors
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-13 * n
+    work = a.copy()
+    _kernels.jacobi_eigh(work, 1e-12, _QUICK_SWEEPS)
+    assert np.linalg.norm(work - np.diag(np.diag(work))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", ["square", "tall", "wide", "zero-columns"])
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("n", _SIZES)
+def test_svd_edge_cases_match_lapack(shape, kind, n):
+    a = _edge_matrix(kind, n)
+    if shape == "tall":
+        a = np.vstack([a, a[: min(n, 3)]])
+    elif shape == "wide":
+        a = np.hstack([a, a[:, : min(n, 3)]])
+    elif shape == "zero-columns":
+        a = np.zeros((n, 0))
+    scale = np.linalg.norm(a)
+    u, s, vt = linalg.svd(a)
+    k = min(a.shape)
+    assert u.shape == (a.shape[0], k) and s.shape == (k,) and vt.shape == (k, a.shape[1])
+    np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False), rtol=0, atol=1e-13 * scale)
+    assert np.linalg.norm((u * s) @ vt - a) <= 1e-12 * scale
+    side = vt.T if a.shape[0] >= a.shape[1] else u  # the accumulated rotations
+    assert np.linalg.norm(side.T @ side - np.eye(k)) <= 1e-13 * max(k, 1)
+    b = np.array(a if a.shape[0] >= a.shape[1] else a.T)
+    v = np.eye(b.shape[1])
+    _kernels.onesided_jacobi(b, v, 1e-14, _QUICK_SWEEPS)
+    g = b.T @ b
+    d = np.sqrt(np.diag(g))
+    assert np.all(np.abs(g - np.diag(np.diag(g))) <= 1e-14 * np.outer(d, d))
+
+
+_EXTREME = {
+    "subnormal-coupling": np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1e-320], [0.0, 1e-320, 4.0]]),
+    "subnormal-wide-gap": np.array(
+        [[1e300, 1e-320, 0.0], [1e-320, 1.0, 1e-320], [0.0, 1e-320, -1e300]]
+    ),
+    "huge": np.array([[1e300, 1e300], [1e300, -1e300]]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_EXTREME))
+def test_extreme_entries_give_finite_results_without_warnings(name):
+    a = _EXTREME[name]
+    if name == "subnormal-wide-gap":
+        expected = np.sort(np.diag(a))
+    else:
+        expected = np.linalg.eigvalsh(a / a.max()) * a.max()
+    spec = linalg.sym_eig(a)
+    np.testing.assert_allclose(spec.eigenvalues, expected, rtol=1e-14, atol=0)
+    assert np.all(np.isfinite(spec.eigenvectors))
+    # One-sided Jacobi works with squared column norms, so singular values
+    # are accurate relative to the largest one, not each to itself.
+    u, s, vt = linalg.svd(a)
+    expected = np.sort(np.abs(expected))[::-1]
+    np.testing.assert_allclose(s, expected, rtol=0, atol=1e-14 * expected[0])
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(vt))
+    u, s_tall, vt = linalg.svd(np.vstack([a, a]))
+    np.testing.assert_allclose(s_tall, np.sqrt(2.0) * s, rtol=0, atol=1e-14 * expected[0])
+    if name == "subnormal-coupling":  # in range for the kernels themselves
+        _kernels.jacobi_eigh(a.copy(), 1e-12, 100)
+        _kernels.onesided_jacobi(a.copy(), np.eye(3), 1e-14, 100)
