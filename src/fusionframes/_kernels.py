@@ -148,10 +148,8 @@ def onesided_jacobi(b, v, pair_tol, max_sweeps):
             if not act.any():
                 continue
             rotated = True
-            if not act.all():
-                p, q, wp, wq = p[act], q[act], wp[act], wq[act]
-                alpha, beta, gamma = alpha[act], beta[act], gamma[act]
-            c, s = _rotation(beta - alpha, gamma)
+            # Pairs that pass the test get off = 0, hence the identity.
+            c, s = _rotation(beta - alpha, np.where(act, gamma, 0.0))
             c = c[:, None]
             s = s[:, None]
             work[p] = c * wp - s * wq

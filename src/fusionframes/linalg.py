@@ -260,6 +260,9 @@ def pseudo_inverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     The result satisfies the four Penrose identities; its kernel is the
     orthogonal complement of the column space of ``m`` and its range is the
     orthogonal complement of the kernel of ``m``.
+
+    Raises InputError when a kept singular value is so small (below about
+    5.6e-309) that the pseudo-inverse has entries beyond the float range.
     """
     m = as_matrix(m, "pseudo_inverse input")
     if tol <= 0:
@@ -267,7 +270,13 @@ def pseudo_inverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     u, s, vt = svd(m)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
-    inv = np.where(s > tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    kept = s > tol * s[0]
+    with np.errstate(over="ignore"):
+        inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
+    if not np.isfinite(inv).all():
+        raise InputError(
+            f"pseudo_inverse: singular value {s[kept][-1]:.3e} has no finite reciprocal"
+        )
     return (vt.T * inv) @ u.T
 
 

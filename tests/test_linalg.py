@@ -79,6 +79,18 @@ def test_pinv_diagonal_rank_deficient():
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pinv_of_tiny_matrix_is_exact():
+    p = linalg.pseudo_inverse(np.array([[1e-300, 0.0], [0.0, 4e-300]]))
+    np.testing.assert_allclose(p, np.diag([1e300, 2.5e299]), rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pinv_without_finite_reciprocal_is_an_input_error():
+    with pytest.raises(InputError, match="no finite reciprocal"):
+        linalg.pseudo_inverse(np.array([[1e-310, 0.0], [0.0, 0.0]]))
+
+
 def test_pinv_penrose_random():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((4, 3))
@@ -178,16 +190,22 @@ def test_svd_matches_numpy_values():
     )
 )
 @example(m=np.array([[1.5, 1.0, 0.0], [1e-8, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+@example(m=np.array([[5e-324, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 def test_pinv_penrose_hypothesis(m):
     # Backward-error bound: any pseudo-inverse computed in floating point
     # leaves Penrose residuals of order eps * kappa, where kappa is the
-    # largest over the smallest kept singular value.  The pinned matrix
-    # keeps sigma = 5.5e-9 next to 1.8, and numpy.linalg.pinv also leaves
-    # |MP - (MP)^T| = 4e-8 there.  MPM - M also contains the singular
-    # values cut to zero.
-    p = linalg.pseudo_inverse(m)
+    # largest over the smallest kept singular value.  The first pinned
+    # matrix keeps sigma = 5.5e-9 next to 1.8, and numpy.linalg.pinv also
+    # leaves |MP - (MP)^T| = 4e-8 there.  MPM - M also contains the
+    # singular values cut to zero.  The second pinned matrix keeps a
+    # subnormal singular value whose reciprocal is beyond the float range.
     sv = np.linalg.svd(m, compute_uv=False)
     kept = sv[sv > linalg.DEFAULT_TOL * sv[0]]
+    if kept.size and kept[-1] < 1.0 / np.finfo(float).max:
+        with pytest.raises(InputError):
+            linalg.pseudo_inverse(m)
+        return
+    p = linalg.pseudo_inverse(m)
     kappa = kept[0] / kept[-1] if kept.size else 1.0
     cut = np.linalg.norm(sv[kept.size :])
     bound = 100 * np.finfo(float).eps * kappa
