@@ -102,29 +102,14 @@ def _cmd_verify(args) -> int:
     return 0 if rep.verdict.is_frame() else 1
 
 
-def _cmd_bounds(args) -> int:
-    system = _load_system(args.system)
-    rep = system.fusion_bounds(args.tol)
-    _emit(
-        rep.to_json(),
-        args,
-        [
-            f"verdict: {rep.verdict.value}",
-            f"lower: {_fmt(rep.lower)}",
-            f"upper: {_fmt(rep.upper)}",
-        ],
-    )
-    return 0 if rep.verdict.is_frame() else 1
-
-
 def _cmd_decompose(args) -> int:
     system = _load_system(args.system)
     k = _load_matrix(args.operator)
     f = _load_vector(args.vector)
     dec = atomic_decompose(system, k, f, args.tol)
     target = k @ f
-    resid = float(np.linalg.norm(system.synthesis(dec.bundle) - target))
-    rel = resid / max(np.linalg.norm(target), 1e-300)
+    resid = linalg.norm(system.synthesis(dec.bundle) - target)
+    rel = resid / max(linalg.norm(target), 1e-300)
     report = {
         "residual": resid,
         "relative_residual": rel,
@@ -177,7 +162,7 @@ def _cmd_transform(args) -> int:
 def _cmd_perturb(args) -> int:
     system = _load_system(args.system)
     perturbed = _load_system(args.system_b)
-    params = perturbation_estimate(system, perturbed, args.tol)
+    params = perturbation_estimate(system, perturbed)
     if args.operator:
         k = _load_matrix(args.operator)
     else:
@@ -337,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, system=True, operator=True)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("bounds", help="optimal bounds and verdict of a system")
+    p = sub.add_parser("bounds", help="optimal bounds and verdict (verify without --operator)")
     common(p, system=True)
-    p.set_defaults(fn=_cmd_bounds)
+    p.set_defaults(fn=_cmd_verify, operator=None)
 
     p = sub.add_parser("decompose", help="atomic decomposition of an image vector")
     common(p, system=True, operator=True)

@@ -7,8 +7,9 @@ when a hypothesis fails they report the instance as vacuous instead of
 raising, so randomized sweeps can feed them arbitrary inputs and only
 genuine implication violations count as failures.
 
-Rank and surjectivity decisions use the package-wide relative singular
-value threshold of 1e-8.
+Rank, surjectivity and invertibility decisions about the operators K and
+T use this module's own relative singular-value threshold of 1e-8
+(``_full_rank``), looser than the 1e-10 cut of ``linalg``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,15 @@ def _require_operator(t, n: int, name: str = "operator") -> np.ndarray:
     if t.shape[0] != n:
         raise InputError(f"{name} is {t.shape[0]}x{t.shape[1]}, expected {n}x{n}")
     return t
+
+
+def _full_rank(t) -> tuple[bool, float]:
+    """Whether the square ``t`` has full rank at this module's threshold
+    (sigma_min > _RANK_TOL * sigma_max), and the ratio sigma_min / sigma_max."""
+    sv = linalg.singular_values(t)
+    if sv[0] == 0.0:
+        return False, 0.0
+    return bool(sv[-1] > _RANK_TOL * sv[0]), float(sv[-1] / sv[0])
 
 
 def transform_system(
@@ -131,9 +141,7 @@ def commuting_transform_construct(
     worst = _invariance_defect(system, t_pinv @ t)
     hyp_invariant = HypothesisCheck(worst <= tol, worst)
 
-    sv = linalg.singular_values(t)
-    surjective = sv.size > 0 and sv[0] > 0 and int(np.sum(sv > _RANK_TOL * sv[0])) == n
-    hyp_surjective = HypothesisCheck(surjective, float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0)
+    hyp_surjective = HypothesisCheck(*_full_rank(t))
 
     hypotheses = {
         "commutes": hyp_commute,
@@ -192,12 +200,10 @@ def surjectivity_consistency_check(
     n = system.ambient_dim
     k = _require_operator(k, n, "operator K")
     t = _require_operator(t, n, "operator T")
-    if linalg.matrix_rank(k, _RANK_TOL) < n:
+    if not _full_rank(k)[0]:
         raise PreconditionError("operator K must have full rank (dense range)")
     report = kfusion_verify(transform_system(system, t), k, tol)
-    sv = linalg.singular_values(t)
-    ratio = float(sv[-1] / sv[0]) if sv.size and sv[0] > 0 else 0.0
-    surjective = sv.size > 0 and sv[0] > 0 and int(np.sum(sv > _RANK_TOL * sv[0])) == n
+    surjective, ratio = _full_rank(t)
     if report.is_kff:
         branch = "verified-implies-surjective"
         consistent = surjective
@@ -221,13 +227,11 @@ def invertibility_consistency_check(
     n = system.ambient_dim
     k = _require_operator(k, n, "operator K")
     t = _require_operator(t, n, "operator T")
-    dense = linalg.matrix_rank(k, _RANK_TOL) == n
+    dense = _full_rank(k)[0]
     commutator = np.linalg.norm(t @ k - k @ t)
     scale = max(linalg.operator_norm(t) * linalg.operator_norm(k), 1e-300)
     commutes = commutator <= tol * scale
-    sv = linalg.singular_values(t)
-    ratio = float(sv[-1] / sv[0]) if sv.size and sv[0] > 0 else 0.0
-    invertible = sv.size > 0 and sv[0] > 0 and int(np.sum(sv > _RANK_TOL * sv[0])) == n
+    invertible, ratio = _full_rank(t)
     if not (dense and commutes):
         return ConsistencyReport(
             "vacuous-hypotheses",
@@ -304,8 +308,7 @@ def operator_image_construct(
     Raises PreconditionError when the input is not a fusion frame."""
     n = system.ambient_dim
     k = _require_operator(k, n, "operator K")
-    bounds = system.fusion_bounds()
-    if bounds.lower <= tol * max(bounds.upper, 1e-300):
+    if system.spectrum().rank() < n:
         raise PreconditionError("input system is not a fusion frame (singular frame operator)")
     worst = _invariance_defect(system, linalg.pseudo_inverse(k) @ k)
     hypothesis_ok = worst <= tol
@@ -381,14 +384,13 @@ def perturbation_predict(lower: float, upper: float, params: PerturbationParams)
 def perturbation_estimate(
     system: WeightedSubspaceSystem,
     perturbed: WeightedSubspaceSystem,
-    tol: float = 1e-9,
 ) -> PerturbationParams:
     """Smallest lambda1 (with lambda2 = mu = 0) making the hypothesis hold
     for every f: the square root of the largest eigenvalue of
     S^(-1/2) D S^(-1/2), D = sum w_i^2 (P_i - Q_i)^2.
 
     Requires matching shapes and weights and an invertible frame operator
-    on the reference side.
+    on the reference side (full rank at the spectrum's rank cut).
     """
     if perturbed.ambient_dim != system.ambient_dim:
         raise InputError("ambient dimensions differ")
@@ -398,15 +400,14 @@ def perturbation_estimate(
     w2 = perturbed.weights
     if not np.allclose(w1, w2, rtol=1e-12, atol=0.0):
         raise InputError("weights differ between the two systems")
-    s = system.frame_operator()
-    spec = linalg.sym_eig(s)
-    if spec.smallest <= tol * max(spec.largest, 1e-300):
+    spec = system.spectrum()
+    if spec.rank() < system.ambient_dim:
         raise PreconditionError("reference frame operator is singular")
-    d = np.zeros_like(s)
+    d = np.zeros((system.ambient_dim, system.ambient_dim))
     for m, m2 in zip(system.members, perturbed.members):
         delta = m.subspace.projection() - m2.subspace.projection()
-        d += (m.weight ** 2) * (delta @ delta)
-    inv_root = (spec.eigenvectors / np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.T
+        d += (m.weight * m.weight) * (delta @ delta)
+    inv_root = spec.power(-0.5)
     mid = inv_root @ d @ inv_root
     lam = max(linalg.sym_eig(0.5 * (mid + mid.T)).largest, 0.0)
     return PerturbationParams(math.sqrt(lam))

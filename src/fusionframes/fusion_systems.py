@@ -9,8 +9,10 @@ operators are
 * synthesis:  {a_i} |-> sum_i w_i a_i  (the adjoint of analysis),
 * frame operator: S = sum_i w_i^2 P_i  (symmetric PSD).
 
-In finite dimension the optimal frame bounds are exactly the extremal
-eigenvalues of S, so verdicts are decided spectrally.
+A system computes S and its eigendecomposition once (``frame_operator``,
+``spectrum``).  The optimal frame bounds are the extremal eigenvalues, and
+every operator-relative quantity in ``kfusion`` derives from the same
+spectrum.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class CoefficientBundle:
         return len(self.blocks)
 
     def norm(self) -> float:
-        return math.sqrt(sum(float(b @ b) for b in self.blocks))
+        return linalg.norm(self.stacked())
 
     def stacked(self) -> np.ndarray:
         return np.concatenate(self.blocks)
@@ -117,7 +119,7 @@ class CoefficientBundle:
 class WeightedSubspaceSystem:
     """Finite family {(W_i, w_i)} over a common ambient space."""
 
-    __slots__ = ("ambient_dim", "members", "_frame_op", "_synth")
+    __slots__ = ("ambient_dim", "members", "_frame_op", "_spectrum")
 
     def __init__(self, members):
         members = tuple(members)
@@ -145,7 +147,7 @@ class WeightedSubspaceSystem:
         object.__setattr__(self, "ambient_dim", ambient)
         object.__setattr__(self, "members", tuple(norm_members))
         object.__setattr__(self, "_frame_op", None)
-        object.__setattr__(self, "_synth", None)
+        object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, *_):
         raise AttributeError("WeightedSubspaceSystem is immutable")
@@ -225,28 +227,21 @@ class WeightedSubspaceSystem:
             object.__setattr__(self, "_frame_op", 0.5 * (s + s.T))
         return self._frame_op
 
-    def synthesis_matrix(self) -> np.ndarray:
-        """The synthesis operator on stacked ambient blocks: the n x (m*n)
-        matrix [w_1 P_1, ..., w_m P_m].  Restricted to block vectors with
-        a_i in W_i it acts as sum_i w_i a_i, and its minimal-norm preimages
-        automatically have blocks inside the W_i."""
-        if self._synth is None:
-            t = np.hstack([m.weight * m.subspace.projection() for m in self.members])
-            object.__setattr__(self, "_synth", t)
-        return self._synth
-
-    def split_blocks(self, stacked) -> list:
-        stacked = linalg.as_vector(stacked, "stacked blocks")
-        n = self.ambient_dim
-        if stacked.shape[0] != n * len(self.members):
-            raise InputError("stacked block vector has the wrong length")
-        return [stacked[i * n : (i + 1) * n] for i in range(len(self.members))]
+    def spectrum(self) -> linalg.Spectrum:
+        """Eigendecomposition of the frame operator, computed once per
+        system and shared read-only; its rank cut decides the range and null
+        space of S."""
+        if self._spectrum is None:
+            spec = linalg.sym_eig(self.frame_operator())
+            spec.eigenvalues.flags.writeable = spec.eigenvectors.flags.writeable = False
+            object.__setattr__(self, "_spectrum", spec)
+        return self._spectrum
 
     def fusion_bounds(self, tol: float = DEFAULT_VERDICT_TOL) -> BoundsReport:
         """Optimal bounds = extremal eigenvalues of the frame operator."""
         if tol <= 0:
             raise InputError("tol must be positive")
-        spec = linalg.sym_eig(self.frame_operator())
+        spec = self.spectrum()
         return classify_bounds(spec.smallest, spec.largest, tol)
 
     def scaled(self, c: float) -> "WeightedSubspaceSystem":

@@ -2,20 +2,22 @@
 
 A system {(W_i, w_i)} is a K-fusion frame when A ||K.T f||^2 <= <S f, f>
 <= B ||f||^2 holds for all f with constants 0 < A <= B, S being the frame
-operator.  In finite dimension the lower bound exists exactly when the
-column space of K is contained in that of S^(1/2); the optimal constant
-then comes out of the minimal-norm factor of K through S^(1/2).  That
-range-factorization route (Douglas' majorization theorem) is the backbone
-of every lower-bound test in this package: it is exact, and avoids any
-unstable infimum search.
-
-Refutation is a first-class result (``is_kff = False``, lower bound 0),
-not an error, so sweeps over arbitrary inputs stay cheap.
+operator.  Every quantity here comes from K and the system's one
+eigendecomposition of S (``WeightedSubspaceSystem.spectrum``).  By
+Douglas' range-factorization theorem the lower bound exists exactly when
+the range of K lies in the range of S, so the range defect ||K - P K|| /
+||K|| decides (P projects onto the range of S).  Then A = 1 /
+sigma_max(S^(+1/2) K)^2, and the canonical dual a_i = w_i P_i S^+ K f is
+the minimal-norm atomic decomposition, with constant A^(-1/2).  This is
+exact and avoids any infimum search.  Refutation is a first-class result
+(``is_kff = False``, lower bound 0), not an error, so sweeps over
+arbitrary inputs stay cheap.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ from .fusion_systems import CoefficientBundle, WeightedSubspaceSystem
 from .generator import Rng
 
 DEFAULT_TOL = 1e-8
-_RANK_CUT = 1e-10
 
 
 def douglas_factor(u, v, tol: float = 1e-9) -> np.ndarray:
@@ -47,10 +48,10 @@ def douglas_factor(u, v, tol: float = 1e-9) -> np.ndarray:
     if tol <= 0:
         raise InputError("tol must be positive")
     t = linalg.pseudo_inverse(v) @ u
-    scale = np.linalg.norm(u)
+    scale = linalg.norm(u)
     if scale == 0.0:
         return t  # zero operator factors through anything
-    defect = np.linalg.norm(v @ t - u) / scale
+    defect = linalg.norm(v @ t - u) / scale
     if defect > tol:
         raise RangeInclusionError(defect)
     return t
@@ -84,48 +85,47 @@ class KFusionReport:
         }
 
 
-def verify_operator_bound(s, k, tol: float = DEFAULT_TOL) -> KFusionReport:
-    """Shared verification core: decide A ||K.T f||^2 <= <S f, f> for the
-    given PSD operator ``s`` and report optimal constants."""
-    s = linalg.require_square(linalg.as_matrix(s, "frame operator"))
+def _lower_bound(sigma: float, e: int) -> float:
+    """A = 1 / (sigma * 2**e)^2 without overflow, +inf for sigma = 0.
+    Raises InputError when A is outside the normal float range."""
+    if sigma == 0.0:
+        return math.inf
+    m, f = math.frexp(sigma)
+    try:
+        lower = math.ldexp(1.0 / (m * m), -2 * (f + e))
+    except OverflowError:
+        lower = math.inf
+    if not sys.float_info.min <= lower < math.inf:
+        raise InputError("the optimal lower bound 1/sigma^2 is outside the float range "
+                         f"(sigma = sigma_max(S^(+1/2) K) ~ 2^{f + e})")
+    return lower
+
+
+def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) -> KFusionReport:
+    """Shared verification core: decide A ||K.T f||^2 <= <S f, f> for the PSD
+    operator S with eigendecomposition ``spec`` and report optimal constants.
+    K is scaled by a power of two, so no product overflows."""
+    n = spec.eigenvalues.shape[0]
     k = linalg.require_square(linalg.as_matrix(k, "operator K"))
-    if k.shape != s.shape:
-        raise InputError(f"operator is {k.shape}, expected {s.shape}")
+    if k.shape[0] != n:
+        raise InputError(f"operator is {k.shape[0]}x{k.shape[1]}, expected {n}x{n}")
     if tol <= 0:
         raise InputError("tol must be positive")
-    spec = linalg.sym_eig(s)
     upper = max(spec.largest, 0.0)
-    # flatten rank-cut noise before the root, as in linalg.sqrt_psd
-    w = np.where(spec.eigenvalues > _RANK_CUT * max(upper, 1e-300), spec.eigenvalues, 0.0)
-    root = (spec.eigenvectors * np.sqrt(w)) @ spec.eigenvectors.T
-    root = 0.5 * (root + root.T)
-    try:
-        factor = douglas_factor(k, root, tol)
-    except RangeInclusionError as exc:
-        return KFusionReport(False, 0.0, upper, None, exc.residual)
-    k_scale = np.linalg.norm(k)
-    residual = 0.0
-    if k_scale > 0.0:
-        residual = float(np.linalg.norm(root @ factor - k) / k_scale)
-    sigma = linalg.operator_norm(factor)
-    lower = math.inf if sigma == 0.0 else 1.0 / (sigma * sigma)
-    return KFusionReport(True, lower, upper, factor, residual)
+    k_hat, e = linalg.unit_scaled(k)
+    k_norm = np.linalg.norm(k_hat)
+    residual = float(np.linalg.norm(spec.null_basis().T @ k_hat) / k_norm) if k_norm else 0.0
+    if residual > tol:
+        return KFusionReport(False, 0.0, upper, None, residual)
+    factor = spec.power(-0.5) @ k_hat
+    lower = _lower_bound(linalg.operator_norm(factor), e)
+    return KFusionReport(True, lower, upper, np.ldexp(factor, e), residual)
 
 
 def kfusion_verify(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_TOL) -> KFusionReport:
-    """Verify or refute the system against the operator ``k``.
-
-    Upper bound: largest eigenvalue of the frame operator.  Lower bound:
-    factor K through S^(1/2); on success A = 1 / sigma_max(T)^2, otherwise
-    the report is a refutation with the range defect attached.
-    """
-    k = linalg.require_square(linalg.as_matrix(k, "operator K"))
-    if k.shape[0] != system.ambient_dim:
-        raise InputError(
-            f"operator is {k.shape[0]}x{k.shape[1]}, expected "
-            f"{system.ambient_dim}x{system.ambient_dim}"
-        )
-    return verify_operator_bound(system.frame_operator(), k, tol)
+    """Verify or refute the system against the operator ``k``: a range
+    defect above ``tol`` refutes, with the defect attached."""
+    return verify_operator_bound(system.spectrum(), k, tol)
 
 
 def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_TOL):
@@ -135,19 +135,14 @@ def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_T
     positive lower bound (equivalently, no uniform decomposition constant)
     can exist.  Returns None when the pair verifies.
     """
-    k = linalg.as_matrix(k, "operator K")
-    s = system.frame_operator()
-    spec = linalg.sym_eig(s)
-    scale = max(spec.largest, 0.0)
-    null_mask = spec.eigenvalues <= _RANK_CUT * max(scale, 1e-300)
-    if not np.any(null_mask):
+    k_hat, _ = linalg.unit_scaled(linalg.as_matrix(k, "operator K"))
+    null_basis = system.spectrum().null_basis()
+    if null_basis.shape[1] == 0:
         return None
-    null_basis = spec.eigenvectors[:, null_mask]
-    coupled = k.T @ null_basis
-    u, sv, vt = linalg.svd(coupled)
-    if sv.size == 0 or sv[0] <= tol * max(linalg.operator_norm(k), 1e-300):
+    _, sv, vt = linalg.svd(k_hat.T @ null_basis)
+    if sv[0] <= tol * linalg.operator_norm(k_hat):
         return None
-    direction = null_basis @ vt.T[:, 0]
+    direction = null_basis @ vt[0]
     return direction / np.linalg.norm(direction)
 
 
@@ -169,34 +164,40 @@ class AtomicDecomposition:
 
 
 def atomic_decompose(
-    system: WeightedSubspaceSystem, k, f, tol: float = 1e-9
+    system: WeightedSubspaceSystem, k, f, tol: float = DEFAULT_TOL
 ) -> AtomicDecomposition:
     """Coefficients {a_i} with K f = sum_i w_i a_i and ||{a_i}|| bounded by
     the operator norm of the coefficient map times ||f||.
 
-    The coefficient map is the minimal-norm right factor of K through the
-    synthesis operator; its blocks land inside the W_i automatically and
-    are re-projected to squash rounding.  Raises PreconditionError when the
-    system is refuted for ``k`` (no uniform constant can exist then).
+    The coefficients are the canonical dual ones, a_i = w_i P_i S^+ K f:
+    the analysis operator applied to S^+ K f.  They are the minimal-norm
+    solution (the coefficient map is T+ K for the synthesis operator T,
+    and T+ = T.T S^+ because T T.T = S), each block lies in its W_i, and
+    the map's norm is sigma_max(S^(+1/2) K) = A^(-1/2).  Raises
+    PreconditionError when the system is refuted for ``k`` at ``tol`` (no
+    uniform constant can exist then).
     """
     f = linalg.as_vector(f)
     if f.shape[0] != system.ambient_dim:
         raise InputError(
             f"vector has dimension {f.shape[0]}, expected {system.ambient_dim}"
         )
-    report = kfusion_verify(system, k)
+    report = kfusion_verify(system, k, tol)
     if not report.is_kff:
         raise PreconditionError(
             "system is refuted for this operator "
             f"(range defect {report.residual:.3e}); no atomic decomposition "
             "with a uniform constant exists"
         )
-    synth = system.synthesis_matrix()
-    gamma = linalg.pseudo_inverse(synth) @ linalg.as_matrix(k, "operator K")
-    blocks = system.split_blocks(gamma @ f)
-    blocks = [m.subspace.project(b) for m, b in zip(system.members, blocks)]
-    bundle = CoefficientBundle(blocks)
-    return AtomicDecomposition(gamma, bundle, linalg.operator_norm(gamma))
+    k = linalg.as_matrix(k, "operator K")
+    s_pinv = system.spectrum().pinv()
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = s_pinv @ (k @ f)
+    if not np.isfinite(g).all():
+        raise InputError("K f or S+ K f is beyond the float range")
+    gamma = np.vstack([m.weight * m.subspace.projection() for m in system.members]) @ (s_pinv @ k)
+    constant = 0.0 if math.isinf(report.optimal_lower) else 1.0 / math.sqrt(report.optimal_lower)
+    return AtomicDecomposition(gamma, system.analysis(g), constant)
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +257,23 @@ def frame_operator_chain_check(
     if not report.is_kff:
         raise PreconditionError("system is refuted for this operator")
     a, b = report.optimal_lower, report.optimal_upper
+    a_eff = a if math.isfinite(a) else 0.0
     s = system.frame_operator()
+    spec = system.spectrum()
     n = system.ambient_dim
     scale = max(b, 1e-300)
 
-    # part 1: PSD chain
-    ka = np.zeros_like(s) if not math.isfinite(a) else a * (k @ k.T)
-    m1 = linalg.sym_eig(s - ka).smallest / scale
-    m2 = linalg.sym_eig(b * np.eye(n) - s).smallest / scale
-    margin1 = min(m1, m2)
+    # part 1: PSD chain; the smallest eigenvalue of B I - S is B - lambda_max
+    m1 = linalg.sym_eig(s - a_eff * (k @ k.T)).smallest / scale
+    margin1 = min(m1, (b - spec.largest) / scale)
     parts = {"psd_chain": PartResult(margin1 >= -tol, margin1)}
 
     kp_norm = linalg.operator_norm(linalg.pseudo_inverse(k))
-    spec = linalg.sym_eig(s)
-    invertible = spec.smallest > _RANK_CUT * max(spec.largest, 1e-300)
-    w_inv = np.where(
-        spec.eigenvalues > _RANK_CUT * max(spec.largest, 1e-300),
-        1.0 / np.where(spec.eigenvalues > 0, spec.eigenvalues, 1.0),
-        0.0,
-    )
-    s_inv = (spec.eigenvectors * w_inv) @ spec.eigenvectors.T
+    s_inv = spec.pinv()
 
     rng = Rng(seed)
     margin2 = math.inf
     margin3 = math.inf
-    a_eff = 0.0 if not math.isfinite(a) else a
     for _ in range(trials):
         x = rng.normals(n)
         f = k @ x
@@ -294,11 +287,10 @@ def frame_operator_chain_check(
             (nsf - a_eff / (kp_norm ** 2) * nf) / (scale * nf),
             (b * nf - nsf) / (scale * nf),
         )
-        g = sf  # element of S(range K)
-        ng = np.linalg.norm(g)
+        ng = nsf  # sf is an element of S(range K)
         if ng <= 1e-300:
             continue
-        nsig = np.linalg.norm(s_inv @ g)
+        nsig = np.linalg.norm(s_inv @ sf)
         margin3 = min(margin3, nsig * b / ng - 1.0)
         if a_eff > 0:
             margin3 = min(margin3, 1.0 - nsig * a_eff / (kp_norm ** 2 * ng))
@@ -310,7 +302,7 @@ def frame_operator_chain_check(
     parts["inverse_norms"] = PartResult(margin3 >= -tol, margin3)
     return ChainReport(
         parts=parts,
-        branch="inverse" if invertible else "pseudo-inverse",
+        branch="inverse" if spec.rank() == n else "pseudo-inverse",
         lower=a,
         upper=b,
     )
@@ -347,7 +339,7 @@ def frame_operator_atomic_check(
     (or a seeded sample) and reports worst relative margins.
     """
     s = system.frame_operator()
-    b = max(linalg.sym_eig(s).largest, 0.0)
+    b = max(system.spectrum().largest, 0.0)
     c = math.sqrt(b)
     if vectors is None:
         rng = Rng(seed)

@@ -15,9 +15,9 @@ Algorithms, sized for desk-scale matrices (n <= 64 or so):
 * both factorizations run on the input scaled by a power of two that
   brings its largest entry into [0.5, 1), and scale the results back;
   this is exact (away from underflow) and keeps every intermediate finite,
-* rank decisions: singular values below ``tol`` times the largest one are
-  treated as zero; the default ``tol`` is 1e-10 and every operation accepts
-  an explicit override.
+* rank decisions: singular values below ``tol`` (default 1e-10) times the
+  largest one are treated as zero; eigenvalues of a PSD matrix are cut at
+  1e-10 times the largest one in one place, ``Spectrum.kept``.
 
 All functions are pure: arguments are never mutated and results are fresh
 arrays, safe to share across threads.
@@ -164,7 +164,9 @@ class Spectrum:
     """Eigendecomposition of a symmetric matrix.
 
     ``eigenvalues`` ascending; ``eigenvectors`` has unit-norm, pairwise
-    orthogonal columns in matching order, so S = V diag(w) V.T.
+    orthogonal columns in matching order, so S = V diag(w) V.T.  For a PSD
+    matrix it also carries the functional calculus, on the one rank cut
+    ``kept``.
     """
 
     eigenvalues: np.ndarray
@@ -182,11 +184,50 @@ class Spectrum:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
 
+    @property
+    def kept(self) -> np.ndarray:
+        """The rank cut: mask of the eigenvalues above DEFAULT_TOL times the largest."""
+        return self.eigenvalues > DEFAULT_TOL * max(self.largest, 0.0)
 
-def _binary_exponent(m: np.ndarray) -> int:
-    """e such that the largest entry of ``m`` times 2**-e lies in [0.5, 1);
-    0 for an empty or zero matrix."""
-    return math.frexp(float(np.abs(m).max()))[1] if m.size else 0
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.kept))
+
+    def null_basis(self) -> np.ndarray:
+        """Orthonormal basis of the null space (the eigenvectors below the cut)."""
+        return self.eigenvectors[:, ~self.kept]
+
+    def power(self, p: float) -> np.ndarray:
+        """S^p on the range, 0 on the null space: p = 1/2 is the PSD root,
+        p = -1/2 the inverse root, p = -1 the pseudo-inverse.  Raises
+        InputError when a kept eigenvalue's power is beyond the float range."""
+        kept = self.kept
+        w = np.zeros_like(self.eigenvalues)
+        with np.errstate(over="ignore"):
+            w[kept] = self.eigenvalues[kept] ** p
+        if not np.isfinite(w).all():
+            raise InputError(f"eigenvalue {self.eigenvalues[kept][0]:.3e} to the power {p} "
+                             "is beyond the float range")
+        r = (self.eigenvectors * w) @ self.eigenvectors.T
+        return 0.5 * (r + r.T)
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudo-inverse at the spectrum's rank cut."""
+        return self.power(-1.0)
+
+
+def unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m * 2**-e, e) with the largest entry of the first in [0.5, 1), or e = 0
+    for an empty or zero matrix: exact away from underflow, and overflow-free."""
+    e = math.frexp(float(np.abs(m).max()))[1] if m.size else 0
+    return np.ldexp(m, -e), e
+
+
+def norm(x) -> float:
+    """Euclidean (Frobenius) norm of the unit-scaled input, rescaled: no square
+    overflows or underflows, and only a norm beyond the float range is inf."""
+    x, e = unit_scaled(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(x), e))
 
 
 def sym_eig(s, symtol: float = _SYM_TOL) -> Spectrum:
@@ -195,9 +236,7 @@ def sym_eig(s, symtol: float = _SYM_TOL) -> Spectrum:
     Raises InputError when ``s`` is not symmetric within ``symtol`` relative
     to its norm.
     """
-    s = require_square(as_matrix(s, "sym_eig input"), "sym_eig input")
-    e = _binary_exponent(s)
-    s = np.ldexp(s, -e)
+    s, e = unit_scaled(require_square(as_matrix(s, "sym_eig input"), "sym_eig input"))
     scale = np.linalg.norm(s)
     if scale > 0 and np.linalg.norm(s - s.T) > symtol * scale:
         raise InputError("sym_eig: input is not symmetric within tolerance")
@@ -222,8 +261,7 @@ def svd(m):
         k = min(rows, cols)
         return np.zeros((rows, k)), np.zeros(k), np.zeros((k, cols))
     if rows >= cols:
-        e = _binary_exponent(m)
-        b = np.ldexp(m, -e)
+        b, e = unit_scaled(m)
         v = np.eye(cols)
         _kernels.onesided_jacobi(b, v, _SVD_PAIR_TOL, _MAX_SWEEPS)
         s = np.sqrt((b * b).sum(axis=0))
@@ -283,11 +321,11 @@ def pseudo_inverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 def sqrt_psd(s, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symmetric PSD square root R with R @ R = s.
 
-    Eigenvalues within tol * ||s|| of zero are flattened to exactly zero
-    before the root: the square root would otherwise amplify rank-cut
-    noise (lambda ~ eps) into phantom directions of size sqrt(eps) with
-    meaningless eigenvectors.  Anything below -tol * ||s|| raises
-    NotPSDError.
+    Eigenvalues at or below the spectrum's rank cut (``Spectrum.kept``)
+    are flattened to exactly zero before the root: the square root would
+    otherwise amplify rank-cut noise (lambda ~ eps) into phantom
+    directions of size sqrt(eps) with meaningless eigenvectors.  Anything
+    below -tol * ||s|| raises NotPSDError.
     """
     spec = sym_eig(s)
     scale = max(abs(spec.smallest), abs(spec.largest))
@@ -296,11 +334,7 @@ def sqrt_psd(s, tol: float = DEFAULT_TOL) -> np.ndarray:
             f"matrix is not PSD: smallest eigenvalue {spec.smallest:.3e} "
             f"(tolerance {-tol * scale:.3e})"
         )
-    w = np.where(spec.eigenvalues > tol * scale, spec.eigenvalues, 0.0)
-    w = np.sqrt(w)
-    v = spec.eigenvectors
-    r = (v * w) @ v.T
-    return 0.5 * (r + r.T)
+    return spec.power(0.5)
 
 
 def psd_leq(p, q, tol: float) -> bool:

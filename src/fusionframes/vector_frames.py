@@ -11,7 +11,7 @@ the fusion bounds times the extreme local bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,27 +76,15 @@ def vector_frame_bounds(frame: VectorFrame, tol: float = DEFAULT_VERDICT_TOL) ->
 def kframe_verify(frame: VectorFrame, k, tol: float = 1e-8) -> KFusionReport:
     """Verify the frame against an operator, same route as the subspace
     case.  On success the report also carries the coefficient-operator
-    witness gamma = T+ K (T the synthesis matrix): its rows give, for each
-    f, coefficients {a_i} with K f = sum a_i f_i and coefficient norm at
-    most ||gamma|| ||f||."""
-    k = linalg.require_square(linalg.as_matrix(k, "operator K"))
-    if k.shape[0] != frame.ambient_dim:
-        raise InputError(
-            f"operator is {k.shape[0]}x{k.shape[1]}, expected "
-            f"{frame.ambient_dim}x{frame.ambient_dim}"
-        )
-    report = verify_operator_bound(frame.frame_operator(), k, tol)
+    witness gamma = T.T S+ K (T the synthesis matrix, the canonical dual
+    route): its rows give, for each f, the minimal-norm coefficients
+    {a_i} with K f = sum a_i f_i, of norm at most ||gamma|| ||f||."""
+    spec = linalg.sym_eig(frame.frame_operator())
+    report = verify_operator_bound(spec, k, tol)
     if not report.is_kff:
         return report
-    gamma = linalg.pseudo_inverse(frame.synthesis_matrix()) @ k
-    return KFusionReport(
-        report.is_kff,
-        report.optimal_lower,
-        report.optimal_upper,
-        report.factor_t,
-        report.residual,
-        gamma,
-    )
+    gamma = frame.synthesis_matrix().T @ spec.pinv() @ linalg.as_matrix(k, "operator K")
+    return replace(report, gamma=gamma)
 
 
 @dataclass(frozen=True)

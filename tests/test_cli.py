@@ -155,6 +155,51 @@ def test_decompose_refuted_exit_one(files, tmp_path, capsys):
     assert "refuted" in capsys.readouterr().err
 
 
+def test_bounds_is_verify_without_operator(files, capsys):
+    for system in (files["parseval"], files["e2"]):
+        bounds_code = main(["bounds", "--system", system])
+        bounds_out = capsys.readouterr().out
+        verify_code = main(["verify", "--system", system])
+        assert (bounds_code, bounds_out) == (verify_code, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_operator_with_unrepresentable_lower_bound_exit_two(files, tmp_path, capsys, command):
+    # K = 1e300 I against a Parseval system: A = 1e-600 is not a float
+    huge = write(tmp_path / "huge.json", {"rows": 2, "cols": 2, "data": [1e300, 0.0, 0.0, 1e300]})
+    vec = write(tmp_path / "f.json", [1.0, -2.0])
+    args = [command, "--system", files["parseval"], "--operator", huge, "--format", "json"]
+    if command == "decompose":
+        args += ["--vector", vec]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "outside the float range" in captured.err
+
+
+def test_decompose_huge_vector_reports_finite_norms(files, tmp_path, capsys):
+    vec = write(tmp_path / "f.json", [3e200, 4e200])
+    code = main(
+        ["decompose", "--system", files["parseval"], "--operator", files["eye"],
+         "--vector", vec, "--format", "json"]
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["bundle_norm"] == pytest.approx(5e200, rel=1e-15)
+    assert report["relative_residual"] == 0.0 and report["constant"] == 1.0
+
+
+def test_decompose_and_verify_honour_the_same_tol(files, tmp_path, capsys):
+    # K leaves the range of S (the second axis) by a defect of about 1e-7
+    leaky = write(tmp_path / "leaky.json", {"rows": 2, "cols": 2, "data": [0.0, 1e-7, 0.0, 1.0]})
+    vec = write(tmp_path / "f.json", [2.0, 5.0])
+    for tol, expected in (("1e-9", 1), ("1e-6", 0)):
+        common = ["--system", files["e2"], "--operator", leaky, "--tol", tol]
+        assert main(["verify", *common]) == expected
+        assert main(["decompose", *common, "--vector", vec]) == expected
+        capsys.readouterr()
+
+
 def test_transform_commuting_route(files, tmp_path, capsys):
     swap = write(tmp_path / "swap.json", {"rows": 2, "cols": 2, "data": [0.0, 1.0, 1.0, 0.0]})
     code = main(

@@ -224,3 +224,14 @@ def test_system_json_roundtrip():
 def test_system_json_rejects(obj):
     with pytest.raises(InputError):
         WeightedSubspaceSystem.from_json(obj)
+
+
+def test_spectrum_is_cached_and_read_only():
+    system = line_and_plane()
+    spec = system.spectrum()
+    assert system.spectrum() is spec
+    np.testing.assert_allclose(spec.eigenvalues, [1.0, 2.0], atol=1e-14)
+    with pytest.raises(ValueError):
+        spec.eigenvalues[0] = 0.0
+    with pytest.raises(ValueError):
+        spec.eigenvectors[0, 0] = 0.0

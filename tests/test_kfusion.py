@@ -280,3 +280,82 @@ def test_report_json_shape():
     rep = kfusion_verify(coordinate_lines(2), np.eye(2))
     obj = rep.to_json()
     assert set(obj) == {"is_kff", "lower", "upper", "residual", "parts"}
+
+
+def test_decomposition_blocks_are_the_minimal_norm_coefficients():
+    rng = Rng(31)
+    for _ in range(20):
+        system, k = verified_instance(rng)
+        k = np.asarray(k, float)
+        synthesis = np.hstack([m.weight * m.subspace.projection() for m in system.members])
+        for _ in range(3):
+            f = rng.normals(system.ambient_dim)
+            dec = atomic_decompose(system, k, f)
+            best = minimal_norm_coefficients(synthesis, k @ f)
+            scale = max(np.linalg.norm(best), 1e-300)
+            assert np.linalg.norm(dec.bundle.stacked() - best) <= 1e-9 * scale
+            np.testing.assert_allclose(
+                dec.gamma @ f, dec.bundle.stacked(), rtol=0, atol=1e-12 * scale
+            )
+        sigma = np.linalg.svd(dec.gamma, compute_uv=False)[0]
+        assert dec.constant == pytest.approx(sigma, rel=1e-9)
+
+
+def test_one_eigendecomposition_of_s_per_system(monkeypatch):
+    system = WeightedSubspaceSystem(
+        [Member(Subspace.span([1.0, 0.0, 0.0]), 2.0), Member(Subspace.span([1.0, 1.0, 0.0]), 1.0)]
+    )  # S is singular, so the null basis is not empty
+    k = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    s = system.frame_operator()
+    calls = []
+    sym_eig = linalg.sym_eig
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.array_equal(m, s))
+        return sym_eig(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "sym_eig", counted)
+    assert kfusion_verify(system, k).is_kff
+    assert refutation_witness(system, k) is None
+    atomic_decompose(system, k, np.array([1.0, 2.0, 3.0]))
+    assert frame_operator_chain_check(system, k).all_ok
+    assert system.fusion_bounds().lower == pytest.approx(0.0, abs=1e-12)
+    assert calls.count(True) == 1
+
+
+def test_atomic_decompose_honours_tol():
+    # K leaves the range of S (the first axis) by a defect of about 1e-7
+    system = WeightedSubspaceSystem([Member(Subspace.span([1.0, 0.0]), 1.0)])
+    k = np.array([[1.0, 0.0], [1e-7, 0.0]])
+    f = np.array([2.0, 5.0])
+    with pytest.raises(PreconditionError):
+        atomic_decompose(system, k, f)  # default tol 1e-8
+    dec = atomic_decompose(system, k, f, tol=1e-6)
+    np.testing.assert_allclose(dec.bundle.stacked(), [2.0, 0.0], atol=1e-15)
+    assert kfusion_verify(system, k, 1e-6).residual == pytest.approx(1e-7, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_lower_bound_outside_float_range_is_an_input_error(scale):
+    # A = 1 / scale^2 is 1e-600 or 1e600
+    with pytest.raises(InputError, match="outside the float range"):
+        kfusion_verify(coordinate_lines(3), scale * np.eye(3))
+
+
+def test_lower_bound_at_extreme_but_representable_scale():
+    rep = kfusion_verify(coordinate_lines(3), 1e150 * np.eye(3))
+    assert rep.is_kff and rep.optimal_lower == pytest.approx(1e-300, rel=1e-14)
+    np.testing.assert_allclose(rep.factor_t, 1e150 * np.eye(3), rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "weight, k_scale, f0",
+    [(1.0, 1e150, 1e200), (1e150, 1e300, 1e10)],
+    ids=["s-pinv-k-f", "k-f"],
+)
+def test_decomposition_beyond_the_float_range_is_an_input_error(weight, k_scale, f0):
+    # A = 1e-300 is a float in both cases, but S+ K f = 1e350 is not, or
+    # K f = 1e310 is not while S+ K f = 1e10 is
+    system = coordinate_lines(2, [weight, weight])
+    with pytest.raises(InputError, match="float range"):
+        atomic_decompose(system, k_scale * np.eye(2), np.array([f0, 0.0]))

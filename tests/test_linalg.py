@@ -368,3 +368,62 @@ def test_extreme_entries_give_finite_results_without_warnings(name):
     if name == "subnormal-coupling":  # in range for the kernels themselves
         _kernels.jacobi_eigh(a.copy(), 1e-12, 100)
         _kernels.onesided_jacobi(a.copy(), np.eye(3), 1e-14, 100)
+
+
+# ---------------------------------------------------------------------------
+# Spectrum calculus against LAPACK
+
+# Jacobi stops once the off-diagonal norm is below this fraction of ||S||,
+# so it plays the part of eps in the backward-error bounds below.
+_SWEEP_TOL = 1e-12
+
+
+@pytest.mark.parametrize("kind", ["zero", "identity", "graded", "rank-deficient"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 32])
+def test_spectrum_calculus_matches_lapack(kind, n):
+    s = _edge_matrix(kind, n)
+    spec = linalg.sym_eig(s)
+    w, v = np.linalg.eigh(s)
+    keep = w > linalg.DEFAULT_TOL * max(w[-1], 0.0)
+    assert spec.rank() == np.count_nonzero(keep)
+    norm_s = np.linalg.norm(s)
+    dropped = np.linalg.norm(w[~keep])
+    slack = 10 * _SWEEP_TOL * norm_s
+
+    z = spec.null_basis()
+    assert z.shape == (n, n - spec.rank())
+    assert np.linalg.norm(z.T @ z - np.eye(z.shape[1])) <= 1e-13 * n
+    if keep.any() and z.size:
+        # Davis-Kahan: the angle to LAPACK's range is at most residual / gap
+        gap = w[keep][0] - w[~keep][-1]
+        assert np.linalg.norm(v[:, keep].T @ z) <= slack / gap
+
+    p = spec.pinv()
+    kappa = w[-1] / w[keep][0] if keep.any() else 1.0
+    bound = 10 * _SWEEP_TOL * kappa
+    norm_p = max(np.linalg.norm(p), 1e-300)
+    assert np.linalg.norm(s @ p @ s - s) <= dropped + bound * norm_s
+    assert np.linalg.norm(p @ s @ p - p) <= bound * norm_p
+    assert np.linalg.norm(s @ p - (s @ p).T) <= bound
+    assert np.linalg.norm(p - p.T) == 0.0
+    lapack = np.linalg.pinv(s, rcond=linalg.DEFAULT_TOL, hermitian=True)
+    assert np.linalg.norm(p - lapack) <= bound * max(np.linalg.norm(lapack), 1e-300)
+
+    root = spec.power(0.5)
+    assert np.linalg.norm(root @ root - s) <= dropped + slack
+    assert np.linalg.eigvalsh(root)[0] >= -slack
+
+
+def test_spectrum_pinv_without_finite_reciprocal_is_an_input_error():
+    spec = linalg.sym_eig(np.diag([1e-310, 0.0]))
+    assert spec.rank() == 1
+    with pytest.raises(InputError):
+        spec.pinv()
+    np.testing.assert_allclose(spec.power(-0.5), np.diag([1e155, 0.0]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_norm_is_scale_safe(scale):
+    x = scale * np.array([[3.0, 0.0], [0.0, 4.0]])
+    assert linalg.norm(x) == pytest.approx(5.0 * scale, rel=1e-15)
+    assert linalg.norm(np.zeros(3)) == 0.0
