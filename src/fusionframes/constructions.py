@@ -7,9 +7,10 @@ when a hypothesis fails they report the instance as vacuous instead of
 raising, so randomized sweeps can feed them arbitrary inputs and only
 genuine implication violations count as failures.
 
-Rank, surjectivity and invertibility decisions about the operators K and
-T use this module's own relative singular-value threshold of 1e-8
-(``_full_rank``), looser than the 1e-10 cut of ``linalg``.
+Surjectivity and invertibility of K and T are decided at this module's
+relative singular-value threshold _RANK_TOL = 1e-8 (``_full_rank``), looser
+than the 1e-10 cut of ``linalg`` that forms images and spans.  ``tol``
+arguments default to ``kfusion.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import numpy as np
 from . import linalg
 from .errors import InadmissibleError, InputError, PreconditionError
 from .fusion_systems import Member, WeightedSubspaceSystem
-from .kfusion import KFusionReport, kfusion_verify
+from .kfusion import DEFAULT_TOL, KFusionReport, kfusion_verify
 from .subspaces import Subspace
 
 _RANK_TOL = 1e-8
-DEFAULT_TOL = 1e-8
 
 
 def _require_operator(t, n: int, name: str = "operator") -> np.ndarray:
@@ -45,14 +45,12 @@ def _full_rank(t) -> tuple[bool, float]:
     return bool(sv[-1] > _RANK_TOL * sv[0]), float(sv[-1] / sv[0])
 
 
-def transform_system(
-    system: WeightedSubspaceSystem, t, tol: float = 1e-10
-) -> WeightedSubspaceSystem:
+def transform_system(system: WeightedSubspaceSystem, t) -> WeightedSubspaceSystem:
     """The system {(T W_i, w_i)}: images are re-orthonormalized, weights
     kept, and collapsed images retained as zero subspaces."""
     t = _require_operator(t, system.ambient_dim)
     return WeightedSubspaceSystem(
-        [Member(m.subspace.image_under(t, tol), m.weight) for m in system.members]
+        [Member(m.subspace.image_under(t), m.weight) for m in system.members]
     )
 
 
@@ -75,6 +73,14 @@ class HypothesisCheck:
 
     def to_json(self) -> dict:
         return {"ok": bool(self.ok), "margin": float(self.margin)}
+
+
+def _commutation(t, k, norm_t: float, norm_k: float, tol: float) -> HypothesisCheck:
+    """The hypothesis TK = KT: ||TK - KT||_F <= tol * ||T|| ||K||, with the
+    relative commutator as margin."""
+    scale = max(norm_t * norm_k, 1e-300)
+    commutator = np.linalg.norm(t @ k - k @ t)
+    return HypothesisCheck(commutator <= tol * scale, commutator / scale)
 
 
 @dataclass(frozen=True)
@@ -130,12 +136,7 @@ def commuting_transform_construct(
         raise PreconditionError("input system is refuted for this operator")
 
     norm_t = linalg.operator_norm(t)
-    norm_k = linalg.operator_norm(k)
-    commutator = np.linalg.norm(t @ k - k @ t)
-    commute_scale = max(norm_t * norm_k, 1e-300)
-    hyp_commute = HypothesisCheck(
-        commutator <= tol * commute_scale, commutator / commute_scale
-    )
+    hyp_commute = _commutation(t, k, norm_t, linalg.operator_norm(k), tol)
 
     t_pinv = linalg.pseudo_inverse(t)
     worst = _invariance_defect(system, t_pinv @ t)
@@ -228,9 +229,7 @@ def invertibility_consistency_check(
     k = _require_operator(k, n, "operator K")
     t = _require_operator(t, n, "operator T")
     dense = _full_rank(k)[0]
-    commutator = np.linalg.norm(t @ k - k @ t)
-    scale = max(linalg.operator_norm(t) * linalg.operator_norm(k), 1e-300)
-    commutes = commutator <= tol * scale
+    commutes = _commutation(t, k, linalg.operator_norm(t), linalg.operator_norm(k), tol).ok
     invertible, ratio = _full_rank(t)
     if not (dense and commutes):
         return ConsistencyReport(
@@ -265,7 +264,7 @@ def invertibility_consistency_check(
     )
 
 
-def basis_image_system(k, tol: float = 1e-10):
+def basis_image_system(k):
     """The system {(span(K e_i), 1)} over the standard basis columns of K,
     with collapsed columns kept as zero subspaces.  Always verifies for K
     since the spans jointly carry the whole range of K; the verification
@@ -273,7 +272,7 @@ def basis_image_system(k, tol: float = 1e-10):
     k = linalg.require_square(linalg.as_matrix(k, "operator K"))
     n = k.shape[0]
     members = [
-        Member(Subspace.from_spanning(k[:, [i]], tol), 1.0) for i in range(n)
+        Member(Subspace.from_spanning(k[:, [i]]), 1.0) for i in range(n)
     ]
     system = WeightedSubspaceSystem(members)
     report = kfusion_verify(system, k)

@@ -197,8 +197,8 @@ class WeightedSubspaceSystem:
             out += m.weight * block
         return out
 
-    def check_bundle(self, bundle: CoefficientBundle, tol: float = _BLOCK_TOL) -> None:
-        """Validate the membership invariant a_i in W_i (relative tol)."""
+    def check_bundle(self, bundle: CoefficientBundle) -> None:
+        """Validate the membership invariant a_i in W_i (relative _BLOCK_TOL)."""
         if len(bundle) != len(self.members):
             raise InputError("bundle shape does not match the system")
         for i, (m, block) in enumerate(zip(self.members, bundle.blocks)):
@@ -206,7 +206,7 @@ class WeightedSubspaceSystem:
             if nb == 0.0:
                 continue
             resid = np.linalg.norm(block - m.subspace.project(block))
-            if resid > tol * nb:
+            if resid > _BLOCK_TOL * nb:
                 raise InputError(
                     f"bundle block {i} is outside its subspace "
                     f"(relative residual {resid / nb:.3e})"

@@ -101,6 +101,13 @@ def _lower_bound(sigma: float, e: int) -> float:
     return lower
 
 
+def _range_defect(null_basis: np.ndarray, k_hat: np.ndarray) -> float:
+    """The range defect ||N.T K^|| / ||K^|| (0 for K = 0), N a null basis of S
+    and K^ = K scaled by a power of two: the part of K outside range(S)."""
+    k_norm = np.linalg.norm(k_hat)
+    return float(np.linalg.norm(null_basis.T @ k_hat) / k_norm) if k_norm else 0.0
+
+
 def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) -> KFusionReport:
     """Shared verification core: decide A ||K.T f||^2 <= <S f, f> for the PSD
     operator S with eigendecomposition ``spec`` and report optimal constants.
@@ -113,8 +120,7 @@ def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) ->
         raise InputError("tol must be positive")
     upper = max(spec.largest, 0.0)
     k_hat, e = linalg.unit_scaled(k)
-    k_norm = np.linalg.norm(k_hat)
-    residual = float(np.linalg.norm(spec.null_basis().T @ k_hat) / k_norm) if k_norm else 0.0
+    residual = _range_defect(spec.null_basis(), k_hat)
     if residual > tol:
         return KFusionReport(False, 0.0, upper, None, residual)
     factor = spec.power(-0.5) @ k_hat
@@ -133,15 +139,13 @@ def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_T
 
     Such a direction drives the ratio <S f, f> / ||K.T f||^2 to zero, so no
     positive lower bound (equivalently, no uniform decomposition constant)
-    can exist.  Returns None when the pair verifies.
+    can exist.  Returns None exactly when ``kfusion_verify`` verifies at ``tol``.
     """
     k_hat, _ = linalg.unit_scaled(linalg.as_matrix(k, "operator K"))
     null_basis = system.spectrum().null_basis()
-    if null_basis.shape[1] == 0:
+    if _range_defect(null_basis, k_hat) <= tol:
         return None
-    _, sv, vt = linalg.svd(k_hat.T @ null_basis)
-    if sv[0] <= tol * linalg.operator_norm(k_hat):
-        return None
+    _, _, vt = linalg.svd(k_hat.T @ null_basis)
     direction = null_basis @ vt[0]
     return direction / np.linalg.norm(direction)
 
@@ -268,7 +272,9 @@ def frame_operator_chain_check(
     margin1 = min(m1, (b - spec.largest) / scale)
     parts = {"psd_chain": PartResult(margin1 >= -tol, margin1)}
 
-    kp_norm = linalg.operator_norm(linalg.pseudo_inverse(k))
+    sv = linalg.singular_values(k)
+    kept = sv[linalg._kept(sv)]
+    kp_norm = 1.0 / float(kept[-1]) if kept.size else 0.0  # ||K+|| = 1 / smallest kept sigma
     s_inv = spec.pinv()
 
     rng = Rng(seed)

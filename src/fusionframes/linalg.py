@@ -15,9 +15,9 @@ Algorithms, sized for desk-scale matrices (n <= 64 or so):
 * both factorizations run on the input scaled by a power of two that
   brings its largest entry into [0.5, 1), and scale the results back;
   this is exact (away from underflow) and keeps every intermediate finite,
-* rank decisions: singular values below ``tol`` (default 1e-10) times the
-  largest one are treated as zero; eigenvalues of a PSD matrix are cut at
-  1e-10 times the largest one in one place, ``Spectrum.kept``.
+* rank decisions: singular values, and eigenvalues of a PSD matrix, at or
+  below DEFAULT_TOL = 1e-10 times the largest one are zero; ``_kept`` is
+  that one cut, with no per-call override.
 
 All functions are pure: arguments are never mutated and results are fresh
 arrays, safe to share across threads.
@@ -113,37 +113,30 @@ def matrix_from_json(obj, name: str = "matrix", min_cols: int = 1) -> np.ndarray
 # Orthonormalization
 
 
-def qr_orthonormalize(m, tol: float = DEFAULT_TOL):
+def qr_orthonormalize(m):
     """Orthonormal basis of the column space of ``m``.
 
     Pivoted modified Gram-Schmidt with one reorthogonalization pass.
-    Columns whose residual after projection drops below ``tol`` times the
-    largest column norm of ``m`` are dropped.  Returns (Q, rank) where Q is
-    ``m.shape[0] x rank`` with Q.T @ Q = I.
+    Columns whose residual after projection drops below DEFAULT_TOL times
+    the largest column norm of ``m`` are dropped.  Returns (Q, rank) where
+    Q is ``m.shape[0] x rank`` with Q.T @ Q = I.
     """
     m = as_matrix(m)
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    if m.shape[1] == 0:
-        return np.zeros((m.shape[0], 0)), 0
     work = m.copy()
-    norms = np.sqrt((work * work).sum(axis=0))
-    scale = norms.max()
-    if scale == 0.0:
-        return np.zeros((m.shape[0], 0)), 0
+    scale = np.sqrt((work * work).sum(axis=0)).max(initial=0.0)
     cols = []
     max_rank = min(m.shape)
     while len(cols) < max_rank:
         norms = np.sqrt((work * work).sum(axis=0))
         j = int(np.argmax(norms))
-        if norms[j] <= tol * scale:
+        if norms[j] <= DEFAULT_TOL * scale:
             break
         q = work[:, j] / norms[j]
         if cols:
             basis = np.column_stack(cols)
             q = q - basis @ (basis.T @ q)  # second pass for orthogonality
             nq = np.linalg.norm(q)
-            if nq <= tol:
+            if nq <= DEFAULT_TOL:
                 work[:, j] = 0.0
                 continue
             q = q / nq
@@ -157,6 +150,12 @@ def qr_orthonormalize(m, tol: float = DEFAULT_TOL):
 
 # ---------------------------------------------------------------------------
 # Symmetric eigenproblem
+
+
+def _kept(values: np.ndarray) -> np.ndarray:
+    """The rank cut: mask of the values above DEFAULT_TOL times the largest
+    one, all False when none is positive."""
+    return values > DEFAULT_TOL * values.max(initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -186,8 +185,8 @@ class Spectrum:
 
     @property
     def kept(self) -> np.ndarray:
-        """The rank cut: mask of the eigenvalues above DEFAULT_TOL times the largest."""
-        return self.eigenvalues > DEFAULT_TOL * max(self.largest, 0.0)
+        """Mask of the eigenvalues kept by the rank cut ``_kept``."""
+        return _kept(self.eigenvalues)
 
     def rank(self) -> int:
         return int(np.count_nonzero(self.kept))
@@ -230,15 +229,15 @@ def norm(x) -> float:
         return float(np.ldexp(np.linalg.norm(x), e))
 
 
-def sym_eig(s, symtol: float = _SYM_TOL) -> Spectrum:
+def sym_eig(s) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix by Jacobi sweeps.
 
-    Raises InputError when ``s`` is not symmetric within ``symtol`` relative
+    Raises InputError when ``s`` is not symmetric within _SYM_TOL relative
     to its norm.
     """
     s, e = unit_scaled(require_square(as_matrix(s, "sym_eig input"), "sym_eig input"))
     scale = np.linalg.norm(s)
-    if scale > 0 and np.linalg.norm(s - s.T) > symtol * scale:
+    if scale > 0 and np.linalg.norm(s - s.T) > _SYM_TOL * scale:
         raise InputError("sym_eig: input is not symmetric within tolerance")
     a = 0.5 * (s + s.T)
     w, v = _kernels.jacobi_eigh(a, _EIG_SWEEP_TOL, _MAX_SWEEPS)
@@ -284,17 +283,15 @@ def operator_norm(m) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def matrix_rank(m, tol: float = DEFAULT_TOL) -> int:
-    s = singular_values(m)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def matrix_rank(m) -> int:
+    """Number of singular values kept by the rank cut ``_kept``."""
+    return int(np.count_nonzero(_kept(singular_values(m))))
 
 
-def pseudo_inverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def pseudo_inverse(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the Jacobi SVD.
 
-    Singular values below ``tol`` times the largest are treated as zero.
+    Singular values cut by ``_kept`` are treated as zero.
     The result satisfies the four Penrose identities; its kernel is the
     orthogonal complement of the column space of ``m`` and its range is the
     orthogonal complement of the kernel of ``m``.
@@ -302,13 +299,8 @@ def pseudo_inverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises InputError when a kept singular value is so small (below about
     5.6e-309) that the pseudo-inverse has entries beyond the float range.
     """
-    m = as_matrix(m, "pseudo_inverse input")
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    u, s, vt = svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    kept = s > tol * s[0]
+    u, s, vt = svd(as_matrix(m, "pseudo_inverse input"))
+    kept = _kept(s)
     with np.errstate(over="ignore"):
         inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
     if not np.isfinite(inv).all():
@@ -318,21 +310,21 @@ def pseudo_inverse(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def sqrt_psd(s, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sqrt_psd(s) -> np.ndarray:
     """Symmetric PSD square root R with R @ R = s.
 
     Eigenvalues at or below the spectrum's rank cut (``Spectrum.kept``)
     are flattened to exactly zero before the root: the square root would
     otherwise amplify rank-cut noise (lambda ~ eps) into phantom
     directions of size sqrt(eps) with meaningless eigenvectors.  Anything
-    below -tol * ||s|| raises NotPSDError.
+    below -DEFAULT_TOL * ||s|| raises NotPSDError.
     """
     spec = sym_eig(s)
     scale = max(abs(spec.smallest), abs(spec.largest))
-    if spec.smallest < -tol * max(scale, 1e-300):
+    if spec.smallest < -DEFAULT_TOL * max(scale, 1e-300):
         raise NotPSDError(
             f"matrix is not PSD: smallest eigenvalue {spec.smallest:.3e} "
-            f"(tolerance {-tol * scale:.3e})"
+            f"(tolerance {-DEFAULT_TOL * scale:.3e})"
         )
     return spec.power(0.5)
 

@@ -44,21 +44,21 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def from_spanning(cls, m, tol: float = _ORTHO_TOL, ambient_dim: int | None = None):
-        """Subspace spanned by the columns of ``m`` (rank decided by ``tol``)."""
+    def from_spanning(cls, m, *, ambient_dim: int | None = None):
+        """Subspace spanned by the columns of ``m`` (``linalg.qr_orthonormalize``)."""
         m = linalg.as_matrix(m, "spanning matrix")
         n = m.shape[0] if ambient_dim is None else ambient_dim
         if m.shape[0] != n:
             raise InputError(f"spanning matrix has {m.shape[0]} rows, expected {n}")
-        q, _ = linalg.qr_orthonormalize(m, tol) if m.shape[1] else (np.zeros((n, 0)), 0)
+        q, _ = linalg.qr_orthonormalize(m) if m.shape[1] else (np.zeros((n, 0)), 0)
         return cls(n, q, _trusted=True)
 
     @classmethod
-    def span(cls, *vectors, tol: float = _ORTHO_TOL):
+    def span(cls, *vectors):
         vecs = [linalg.as_vector(v, "spanning vector") for v in vectors]
         if not vecs:
             raise InputError("span needs at least one vector")
-        return cls.from_spanning(np.column_stack(vecs), tol)
+        return cls.from_spanning(np.column_stack(vecs))
 
     @classmethod
     def zero(cls, ambient_dim: int):
@@ -91,7 +91,7 @@ class Subspace:
             )
         return self.basis @ (self.basis.T @ f)
 
-    def image_under(self, t, tol: float = _ORTHO_TOL) -> "Subspace":
+    def image_under(self, t) -> "Subspace":
         """The image subspace t(W); the rank may drop (possibly to zero)."""
         t = linalg.as_matrix(t, "operator")
         if t.shape != (self.ambient_dim, self.ambient_dim):
@@ -101,7 +101,7 @@ class Subspace:
             )
         if self.is_zero():
             return Subspace.zero(self.ambient_dim)
-        return Subspace.from_spanning(t @ self.basis, tol)
+        return Subspace.from_spanning(t @ self.basis)
 
     def contains(self, other: "Subspace", tol: float = 1e-9) -> bool:
         """True iff every basis vector of ``other`` lies in this subspace

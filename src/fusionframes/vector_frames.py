@@ -23,7 +23,7 @@ from .fusion_systems import (
     WeightedSubspaceSystem,
     classify_bounds,
 )
-from .kfusion import KFusionReport, verify_operator_bound
+from .kfusion import DEFAULT_TOL, KFusionReport, verify_operator_bound
 
 
 class VectorFrame:
@@ -73,7 +73,7 @@ def vector_frame_bounds(frame: VectorFrame, tol: float = DEFAULT_VERDICT_TOL) ->
     return classify_bounds(spec.smallest, spec.largest, tol)
 
 
-def kframe_verify(frame: VectorFrame, k, tol: float = 1e-8) -> KFusionReport:
+def kframe_verify(frame: VectorFrame, k, tol: float = DEFAULT_TOL) -> KFusionReport:
     """Verify the frame against an operator, same route as the subspace
     case.  On success the report also carries the coefficient-operator
     witness gamma = T.T S+ K (T the synthesis matrix, the canonical dual

@@ -359,3 +359,51 @@ def test_decomposition_beyond_the_float_range_is_an_input_error(weight, k_scale,
     system = coordinate_lines(2, [weight, weight])
     with pytest.raises(InputError, match="float range"):
         atomic_decompose(system, k_scale * np.eye(2), np.array([f0, 0.0]))
+
+
+def _lines(n, axes):
+    return WeightedSubspaceSystem([Member(Subspace.span(np.eye(n)[i]), 1.0) for i in axes])
+
+
+@pytest.mark.parametrize(
+    "system, k",
+    [
+        # defect 8.7e-9: verified at 1e-8, although sigma_max(K.T N) = 1.5e-8
+        (_lines(4, [0, 1, 2]), np.diag([1.0, 1.0, 1.0, 1.5e-8])),
+        # defect 1.13e-8: refuted at 1e-8, although sigma_max(K.T N) = 0.8e-8
+        (_lines(3, [0]), np.diag([1.0, 0.8e-8, 0.8e-8])),
+    ],
+)
+def test_refutation_witness_agrees_with_the_verdict(system, k):
+    rep = kfusion_verify(system, k, tol=1e-8)
+    assert abs(rep.residual - 1e-8) < 0.2e-8  # both pairs sit next to the cut
+    assert (refutation_witness(system, k, tol=1e-8) is None) == rep.is_kff
+
+
+def test_chain_check_margins_match_the_two_svd_formula():
+    # the margins with ||K+|| taken as the operator norm of the pseudo-inverse
+    rng = Rng(32)
+    for _ in range(6):
+        system, k = verified_instance(rng)
+        k = np.asarray(k, float)
+        seed = rng.randint(0, 2 ** 31)
+        rep = frame_operator_chain_check(system, k, seed=seed, trials=16)
+        a, b = rep.lower, rep.upper
+        s = system.frame_operator()
+        kp_norm = linalg.operator_norm(linalg.pseudo_inverse(k))
+        s_inv = system.spectrum().pinv()
+        sample = Rng(seed)
+        margin2 = margin3 = math.inf
+        for _ in range(16):
+            x = sample.normals(system.ambient_dim)
+            f = k @ x
+            nf = np.linalg.norm(f)
+            if nf <= 1e-12 * max(np.linalg.norm(x), 1.0):
+                continue
+            nsf = np.linalg.norm(s @ f)
+            margin2 = min(margin2, (nsf - a / kp_norm ** 2 * nf) / (b * nf),
+                          (b * nf - nsf) / (b * nf))
+            nsig = np.linalg.norm(s_inv @ (s @ f))
+            margin3 = min(margin3, nsig * b / nsf - 1.0, 1.0 - nsig * a / (kp_norm ** 2 * nsf))
+        assert rep.parts["range_norms"].margin == pytest.approx(margin2, abs=1e-12)
+        assert rep.parts["inverse_norms"].margin == pytest.approx(margin3, abs=1e-12)

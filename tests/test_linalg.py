@@ -427,3 +427,26 @@ def test_norm_is_scale_safe(scale):
     x = scale * np.array([[3.0, 0.0], [0.0, 4.0]])
     assert linalg.norm(x) == pytest.approx(5.0 * scale, rel=1e-15)
     assert linalg.norm(np.zeros(3)) == 0.0
+
+
+_CUT = linalg.DEFAULT_TOL
+
+
+@pytest.mark.parametrize(
+    "m, rank",
+    [
+        (np.diag([1.0, _CUT * (1 + 1e-6), 0.5]), 3),
+        (np.diag([1.0, _CUT * (1 - 1e-6), 0.5]), 2),
+        (np.diag([2.0, 2 * _CUT * (1 + 1e-6), 2 * _CUT * (1 - 1e-6), 0.0]), 2),
+        (np.zeros((3, 3)), 0),
+        (np.zeros((3, 0)), 0),
+    ],
+)
+def test_one_rank_cut_for_rank_pinv_and_spectrum(m, rank):
+    p = linalg.pseudo_inverse(m)
+    assert p.shape == m.T.shape
+    assert linalg.matrix_rank(m) == rank
+    assert np.count_nonzero(np.linalg.svd(p, compute_uv=False)) == rank
+    # the eigenvalue side of a 0-column input is its 0 x 0 Gram matrix
+    square = m if m.shape[0] == m.shape[1] else m.T @ m
+    assert linalg.sym_eig(square).rank() == rank
