@@ -7,8 +7,8 @@ when a hypothesis fails they report the instance as vacuous instead of
 raising, so randomized sweeps can feed them arbitrary inputs and only
 genuine implication violations count as failures.
 
-Surjectivity and invertibility of K and T are decided at this module's
-relative singular-value threshold _RANK_TOL = 1e-8 (``_full_rank``), looser
+Surjectivity and invertibility of K and T are decided from their singular
+values at this module's relative threshold _RANK_TOL = 1e-8 (``_full_rank``), looser
 than the 1e-10 cut of ``linalg`` that forms images and spans.  ``tol``
 arguments default to ``kfusion.DEFAULT_TOL``.
 """
@@ -36,10 +36,10 @@ def _require_operator(t, n: int, name: str = "operator") -> np.ndarray:
     return t
 
 
-def _full_rank(t) -> tuple[bool, float]:
-    """Whether the square ``t`` has full rank at this module's threshold
-    (sigma_min > _RANK_TOL * sigma_max), and the ratio sigma_min / sigma_max."""
-    sv = linalg.singular_values(t)
+def _full_rank(sv: np.ndarray) -> tuple[bool, float]:
+    """Whether a square matrix with the descending singular values ``sv`` has
+    full rank at this module's threshold (sigma_min > _RANK_TOL * sigma_max),
+    and the ratio sigma_min / sigma_max."""
     if sv[0] == 0.0:
         return False, 0.0
     return bool(sv[-1] > _RANK_TOL * sv[0]), float(sv[-1] / sv[0])
@@ -135,14 +135,14 @@ def commuting_transform_construct(
     if not base.is_kff:
         raise PreconditionError("input system is refuted for this operator")
 
-    norm_t = linalg.operator_norm(t)
+    sv_t = linalg.singular_values(t)  # ||T||, the rank ratio and ||T+||
+    norm_t = float(sv_t[0])
     hyp_commute = _commutation(t, k, norm_t, linalg.operator_norm(k), tol)
 
-    t_pinv = linalg.pseudo_inverse(t)
-    worst = _invariance_defect(system, t_pinv @ t)
+    worst = _invariance_defect(system, linalg.pseudo_inverse(t) @ t)
     hyp_invariant = HypothesisCheck(worst <= tol, worst)
 
-    hyp_surjective = HypothesisCheck(*_full_rank(t))
+    hyp_surjective = HypothesisCheck(*_full_rank(sv_t))
 
     hypotheses = {
         "commutes": hyp_commute,
@@ -155,7 +155,7 @@ def commuting_transform_construct(
             transformed, hypotheses, True, None, None, None, None
         )
 
-    norm_t_pinv = linalg.operator_norm(t_pinv)
+    norm_t_pinv = linalg._pinv_norm(sv_t)
     a_pred = base.optimal_lower / (norm_t ** 2 * norm_t_pinv ** 2)
     b_pred = base.optimal_upper * (norm_t_pinv ** 2 * norm_t ** 2)
     report = kfusion_verify(transformed, k, tol)
@@ -201,10 +201,10 @@ def surjectivity_consistency_check(
     n = system.ambient_dim
     k = _require_operator(k, n, "operator K")
     t = _require_operator(t, n, "operator T")
-    if not _full_rank(k)[0]:
+    if not _full_rank(linalg.singular_values(k))[0]:
         raise PreconditionError("operator K must have full rank (dense range)")
     report = kfusion_verify(transform_system(system, t), k, tol)
-    surjective, ratio = _full_rank(t)
+    surjective, ratio = _full_rank(linalg.singular_values(t))
     if report.is_kff:
         branch = "verified-implies-surjective"
         consistent = surjective
@@ -228,9 +228,11 @@ def invertibility_consistency_check(
     n = system.ambient_dim
     k = _require_operator(k, n, "operator K")
     t = _require_operator(t, n, "operator T")
-    dense = _full_rank(k)[0]
-    commutes = _commutation(t, k, linalg.operator_norm(t), linalg.operator_norm(k), tol).ok
-    invertible, ratio = _full_rank(t)
+    sv_k = linalg.singular_values(k)
+    sv_t = linalg.singular_values(t)
+    dense = _full_rank(sv_k)[0]
+    commutes = _commutation(t, k, float(sv_t[0]), float(sv_k[0]), tol).ok
+    invertible, ratio = _full_rank(sv_t)
     if not (dense and commutes):
         return ConsistencyReport(
             "vacuous-hypotheses",

@@ -12,6 +12,12 @@ the minimal-norm atomic decomposition, with constant A^(-1/2).  This is
 exact and avoids any infimum search.  Refutation is a first-class result
 (``is_kff = False``, lower bound 0), not an error, so sweeps over
 arbitrary inputs stay cheap.
+
+What depends on (S, K) alone is computed once per pair and kept in the
+spectrum's bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape,
+its float64 bytes and ``tol``: the verification report, the coefficient
+map ``gamma`` of ``atomic_decompose`` and the chain check's ||K+||.  A K
+changed in place is a new key; the cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -108,16 +114,27 @@ def _range_defect(null_basis: np.ndarray, k_hat: np.ndarray) -> float:
     return float(np.linalg.norm(null_basis.T @ k_hat) / k_norm) if k_norm else 0.0
 
 
+def _memoized(spec: linalg.Spectrum, name: str, k: np.ndarray, tol: float, compute):
+    """``compute()`` once per (name, K, tol) in the spectrum's memo, K keyed
+    by its shape and float64 bytes."""
+    return spec.memoized((name, k.shape, k.tobytes(), tol), compute)
+
+
 def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) -> KFusionReport:
     """Shared verification core: decide A ||K.T f||^2 <= <S f, f> for the PSD
     operator S with eigendecomposition ``spec`` and report optimal constants.
-    K is scaled by a power of two, so no product overflows."""
+    K is scaled by a power of two, so no product overflows.  The report is
+    memoized per (K, tol) on ``spec``; its ``factor_t`` is read-only."""
     n = spec.eigenvalues.shape[0]
     k = linalg.require_square(linalg.as_matrix(k, "operator K"))
     if k.shape[0] != n:
         raise InputError(f"operator is {k.shape[0]}x{k.shape[1]}, expected {n}x{n}")
     if tol <= 0:
         raise InputError("tol must be positive")
+    return _memoized(spec, "report", k, tol, lambda: _verify(spec, k, tol))
+
+
+def _verify(spec: linalg.Spectrum, k: np.ndarray, tol: float) -> KFusionReport:
     upper = max(spec.largest, 0.0)
     k_hat, e = linalg.unit_scaled(k)
     residual = _range_defect(spec.null_basis(), k_hat)
@@ -125,7 +142,9 @@ def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) ->
         return KFusionReport(False, 0.0, upper, None, residual)
     factor = spec.power(-0.5) @ k_hat
     lower = _lower_bound(linalg.operator_norm(factor), e)
-    return KFusionReport(True, lower, upper, np.ldexp(factor, e), residual)
+    factor_t = np.ldexp(factor, e)
+    factor_t.flags.writeable = False
+    return KFusionReport(True, lower, upper, factor_t, residual)
 
 
 def kfusion_verify(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_TOL) -> KFusionReport:
@@ -154,8 +173,9 @@ def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_T
 class AtomicDecomposition:
     """Blockwise coefficient operator and the decomposition of one vector.
 
-    ``gamma`` maps f to stacked blocks with K f = synthesis(blocks);
-    ``constant`` is its operator norm, the uniform constant bounding
+    ``gamma`` maps f to stacked blocks with K f = synthesis(blocks); it is
+    computed once per (system, K, tol) and shared read-only.  ``constant``
+    is its operator norm, the uniform constant bounding
     ||blocks|| <= constant * ||f||.
     """
 
@@ -186,6 +206,7 @@ def atomic_decompose(
         raise InputError(
             f"vector has dimension {f.shape[0]}, expected {system.ambient_dim}"
         )
+    k = linalg.as_matrix(k, "operator K")
     report = kfusion_verify(system, k, tol)
     if not report.is_kff:
         raise PreconditionError(
@@ -193,13 +214,14 @@ def atomic_decompose(
             f"(range defect {report.residual:.3e}); no atomic decomposition "
             "with a uniform constant exists"
         )
-    k = linalg.as_matrix(k, "operator K")
-    s_pinv = system.spectrum().pinv()
+    spec = system.spectrum()
+    s_pinv = spec.pinv()
     with np.errstate(over="ignore", invalid="ignore"):
         g = s_pinv @ (k @ f)
     if not np.isfinite(g).all():
         raise InputError("K f or S+ K f is beyond the float range")
-    gamma = np.vstack([m.weight * m.subspace.projection() for m in system.members]) @ (s_pinv @ k)
+    gamma = _memoized(spec, "gamma", k, tol, lambda: np.vstack(
+        [m.weight * m.subspace.projection() for m in system.members]) @ (s_pinv @ k))
     constant = 0.0 if math.isinf(report.optimal_lower) else 1.0 / math.sqrt(report.optimal_lower)
     return AtomicDecomposition(gamma, system.analysis(g), constant)
 
@@ -272,9 +294,8 @@ def frame_operator_chain_check(
     margin1 = min(m1, (b - spec.largest) / scale)
     parts = {"psd_chain": PartResult(margin1 >= -tol, margin1)}
 
-    sv = linalg.singular_values(k)
-    kept = sv[linalg._kept(sv)]
-    kp_norm = 1.0 / float(kept[-1]) if kept.size else 0.0  # ||K+|| = 1 / smallest kept sigma
+    kp_norm = _memoized(spec, "k_pinv_norm", k, tol,
+                        lambda: linalg._pinv_norm(linalg.singular_values(k)))
     s_inv = spec.pinv()
 
     rng = Rng(seed)

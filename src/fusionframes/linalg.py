@@ -20,13 +20,16 @@ Algorithms, sized for desk-scale matrices (n <= 64 or so):
   that one cut, with no per-call override.
 
 All functions are pure: arguments are never mutated and results are fresh
-arrays, safe to share across threads.
+arrays, safe to share across threads.  The one exception is a
+``Spectrum``'s memo (``Spectrum.memoized``): its values, such as the
+powers of S, are computed once per spectrum and shared read-only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +41,8 @@ _EIG_SWEEP_TOL = 1e-12
 _SVD_PAIR_TOL = 1e-14
 _MAX_SWEEPS = 100
 _SYM_TOL = 1e-8
+_MEMO_SIZE = 32  # values per Spectrum memo; the oldest is evicted first
+_MEMO_LOCK = threading.Lock()
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -116,13 +121,14 @@ def matrix_from_json(obj, name: str = "matrix", min_cols: int = 1) -> np.ndarray
 def qr_orthonormalize(m):
     """Orthonormal basis of the column space of ``m``.
 
-    Pivoted modified Gram-Schmidt with one reorthogonalization pass.
+    Pivoted modified Gram-Schmidt with one reorthogonalization pass, run on
+    ``unit_scaled(m)`` so no squared entry overflows or underflows.
     Columns whose residual after projection drops below DEFAULT_TOL times
     the largest column norm of ``m`` are dropped.  Returns (Q, rank) where
     Q is ``m.shape[0] x rank`` with Q.T @ Q = I.
     """
     m = as_matrix(m)
-    work = m.copy()
+    work, _ = unit_scaled(m)
     scale = np.sqrt((work * work).sum(axis=0)).max(initial=0.0)
     cols = []
     max_rank = min(m.shape)
@@ -166,10 +172,34 @@ class Spectrum:
     orthogonal columns in matching order, so S = V diag(w) V.T.  For a PSD
     matrix it also carries the functional calculus, on the one rank cut
     ``kept``.
+
+    A spectrum memoizes what is derived from S alone: ``power(p)`` per
+    exponent, and through ``memoized`` the per-operator values of
+    ``kfusion``.  The memo holds at most _MEMO_SIZE values, evicting the
+    oldest first; its arrays are read-only, and an exception is raised on
+    every call, never stored.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memoized(self, key, compute):
+        """The value of ``compute()``, computed once per hashable ``key`` and
+        shared; an array value is made read-only.  Safe to call concurrently:
+        a lost race computes the same value twice."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = compute()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        with _MEMO_LOCK:
+            self._memo[key] = value
+            while len(self._memo) > _MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+        return value
 
     @property
     def smallest(self) -> float:
@@ -197,8 +227,12 @@ class Spectrum:
 
     def power(self, p: float) -> np.ndarray:
         """S^p on the range, 0 on the null space: p = 1/2 is the PSD root,
-        p = -1/2 the inverse root, p = -1 the pseudo-inverse.  Raises
-        InputError when a kept eigenvalue's power is beyond the float range."""
+        p = -1/2 the inverse root, p = -1 the pseudo-inverse.  Memoized per
+        p, read-only.  Raises InputError when a kept eigenvalue's power is
+        beyond the float range."""
+        return self.memoized(("power", p), lambda: self._power(p))
+
+    def _power(self, p: float) -> np.ndarray:
         kept = self.kept
         w = np.zeros_like(self.eigenvalues)
         with np.errstate(over="ignore"):
@@ -277,6 +311,13 @@ def singular_values(m) -> np.ndarray:
     return svd(m)[1]
 
 
+def _pinv_norm(sv: np.ndarray) -> float:
+    """||M+|| from the singular values of M: 1 / the smallest value kept by
+    ``_kept``, 0 when none is kept."""
+    kept = sv[_kept(sv)]
+    return 1.0 / float(kept[-1]) if kept.size else 0.0
+
+
 def operator_norm(m) -> float:
     """Spectral norm (largest singular value); 0 for empty matrices."""
     s = singular_values(m)
@@ -317,7 +358,8 @@ def sqrt_psd(s) -> np.ndarray:
     are flattened to exactly zero before the root: the square root would
     otherwise amplify rank-cut noise (lambda ~ eps) into phantom
     directions of size sqrt(eps) with meaningless eigenvectors.  Anything
-    below -DEFAULT_TOL * ||s|| raises NotPSDError.
+    below -DEFAULT_TOL * ||s|| raises NotPSDError.  The result is the
+    spectrum's memoized ``power(0.5)``, so it is read-only.
     """
     spec = sym_eig(s)
     scale = max(abs(spec.smallest), abs(spec.largest))

@@ -407,3 +407,123 @@ def test_chain_check_margins_match_the_two_svd_formula():
             margin3 = min(margin3, nsig * b / nsf - 1.0, 1.0 - nsig * a / (kp_norm ** 2 * nsf))
         assert rep.parts["range_norms"].margin == pytest.approx(margin2, abs=1e-12)
         assert rep.parts["inverse_norms"].margin == pytest.approx(margin3, abs=1e-12)
+
+
+def _verified_pair(seed):
+    system, k = verified_instance(Rng(seed))
+    return system, np.asarray(k, float)
+
+
+def test_one_svd_of_the_factor_and_one_of_k_per_pair(monkeypatch):
+    system, k = _verified_pair(41)
+    fresh, _ = _verified_pair(41)  # an equal system with an empty memo
+    svd_inputs, eig_calls = [], []
+    svd, sym_eig = linalg.svd, linalg.sym_eig
+
+    def counted_svd(m):
+        svd_inputs.append(np.array_equal(m, k))
+        return svd(m)
+
+    def counted_eig(m):
+        eig_calls.append(m)
+        return sym_eig(m)
+
+    monkeypatch.setattr(linalg, "svd", counted_svd)
+    monkeypatch.setattr(linalg, "sym_eig", counted_eig)
+    rep = kfusion_verify(system, k)
+    rng = Rng(8)
+    decs = [atomic_decompose(system, k, rng.normals(system.ambient_dim)) for _ in range(3)]
+    chain = frame_operator_chain_check(system, k)
+    assert sorted(svd_inputs) == [False, True]  # sigma_max(S^(+1/2) K), then ||K+||
+    assert len(eig_calls) == 2  # S once, and the chain check's S - A K K.T
+
+    monkeypatch.undo()
+    again = kfusion_verify(fresh, k)
+    assert (again.optimal_lower, again.optimal_upper, again.residual) == \
+        (rep.optimal_lower, rep.optimal_upper, rep.residual)
+    np.testing.assert_array_equal(again.factor_t, rep.factor_t)
+    rng = Rng(8)
+    for dec in decs:
+        again = atomic_decompose(fresh, k, rng.normals(fresh.ambient_dim))
+        np.testing.assert_array_equal(again.gamma, dec.gamma)
+        np.testing.assert_array_equal(again.bundle.stacked(), dec.bundle.stacked())
+        assert again.constant == dec.constant
+    assert frame_operator_chain_check(fresh, k).to_json() == chain.to_json()
+
+
+def test_operator_changed_in_place_is_verified_anew():
+    system, k = _verified_pair(42)
+    f = Rng(3).normals(system.ambient_dim)
+    before = atomic_decompose(system, k, f)
+    k *= 3.0
+    fresh, _ = _verified_pair(42)
+    rep = kfusion_verify(system, k)
+    assert rep.optimal_lower == kfusion_verify(fresh, k).optimal_lower
+    assert rep.optimal_lower == pytest.approx(kfusion_verify(system, k / 3.0).optimal_lower / 9)
+    dec = atomic_decompose(system, k, f)
+    np.testing.assert_allclose(system.synthesis(dec.bundle), k @ f, rtol=1e-9, atol=1e-12)
+    assert dec.constant == pytest.approx(3.0 * before.constant, rel=1e-12)
+    assert frame_operator_chain_check(system, k).lower == rep.optimal_lower
+
+
+def test_list_and_array_operators_share_one_entry():
+    system, k = _verified_pair(43)
+    rep = kfusion_verify(system, k.tolist())
+    assert kfusion_verify(system, k) is rep
+    assert kfusion_verify(system, np.asfortranarray(k)) is rep
+
+
+def test_each_tol_has_its_own_entry():
+    system = WeightedSubspaceSystem([Member(Subspace.span([1.0, 0.0]), 1.0)])
+    k = np.array([[1.0, 0.0], [1e-7, 0.0]])  # range defect about 1e-7
+    strict = kfusion_verify(system, k)
+    loose = kfusion_verify(system, k, tol=1e-6)
+    assert not strict.is_kff and loose.is_kff
+    assert kfusion_verify(system, k) is strict and kfusion_verify(system, k, tol=1e-6) is loose
+    with pytest.raises(PreconditionError):
+        atomic_decompose(system, k, np.array([1.0, 1.0]))
+    atomic_decompose(system, k, np.array([1.0, 1.0]), tol=1e-6)
+
+
+def test_memoized_arrays_are_read_only():
+    system, k = _verified_pair(44)
+    rep = kfusion_verify(system, k)
+    dec = atomic_decompose(system, k, np.ones(system.ambient_dim))
+    for value in (rep.factor_t, dec.gamma, system.spectrum().power(-0.5)):
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0, 0] = 0.0
+
+
+def test_memo_stays_bounded_over_many_operators():
+    system, k = _verified_pair(45)
+    spec = system.spectrum()
+    f = np.ones(system.ambient_dim)
+    for i in range(100):
+        atomic_decompose(system, (1.0 + i / 64) * k, f)
+    assert len(spec._memo) <= linalg._MEMO_SIZE
+    last = (1.0 + 99 / 64) * k
+    assert kfusion_verify(system, last) is kfusion_verify(system, last)
+
+
+def test_memo_is_safe_to_share_between_threads():
+    # more threads than cores, a short switch interval, and enough operators
+    # that entries are evicted while others are stored
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    system, k = _verified_pair(46)
+    fresh, _ = _verified_pair(46)
+    jobs = [((1.0 + i % 40 / 8) * k, Rng(i).normals(system.ambient_dim)) for i in range(60)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(atomic_decompose, system, kj, f) for kj, f in jobs]
+            decs = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(system.spectrum()._memo) <= linalg._MEMO_SIZE
+    for (kj, f), dec in zip(jobs, decs):
+        np.testing.assert_array_equal(dec.bundle.stacked(),
+                                      atomic_decompose(fresh, kj, f).bundle.stacked())

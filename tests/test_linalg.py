@@ -22,6 +22,15 @@ def test_qr_single_column_normalized():
     np.testing.assert_allclose(q, np.array([[1.0], [1.0]]) / math.sqrt(2))
 
 
+def test_qr_is_exact_under_power_of_two_scaling():
+    m = np.random.default_rng(5).standard_normal((6, 4))
+    q, rank = linalg.qr_orthonormalize(m)
+    for e in (-600, -300, 300, 600):
+        q_e, rank_e = linalg.qr_orthonormalize(np.ldexp(m, e))
+        assert rank_e == rank
+        np.testing.assert_array_equal(q_e, q)
+
+
 def test_qr_proportional_columns_rank_one():
     q, rank = linalg.qr_orthonormalize(np.array([[1.0, 2.0], [2.0, 4.0]]))
     assert rank == 1
@@ -450,3 +459,57 @@ def test_one_rank_cut_for_rank_pinv_and_spectrum(m, rank):
     # the eigenvalue side of a 0-column input is its 0 x 0 Gram matrix
     square = m if m.shape[0] == m.shape[1] else m.T @ m
     assert linalg.sym_eig(square).rank() == rank
+
+
+def test_spectrum_power_is_memoized_and_read_only():
+    spec = linalg.sym_eig(np.diag([4.0, 1.0, 0.0]))
+    root = spec.power(0.5)
+    assert spec.power(0.5) is root and spec.pinv() is spec.power(-1)
+    np.testing.assert_array_equal(root, np.diag([2.0, 1.0, 0.0]))
+    for value in (root, spec.pinv(), spec.power(-0.5)):
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0, 0] = 1.0
+
+
+def test_spectrum_power_beyond_the_float_range_is_never_memoized():
+    spec = linalg.sym_eig(np.diag([1e-310, 0.0]))
+    for _ in range(2):
+        with pytest.raises(InputError, match="float range"):
+            spec.power(-1.0)
+    assert len(spec._memo) == 0
+
+
+def test_spectrum_memo_is_bounded_oldest_first():
+    spec = linalg.sym_eig(np.diag([2.0, 1.0]))
+    first = spec.power(1.0)
+    for i in range(100):
+        spec.power(1.0 + (i + 1) / 128)
+    assert len(spec._memo) == linalg._MEMO_SIZE
+    last = spec.power(1.0 + 100 / 128)
+    assert spec.power(1.0 + 100 / 128) is last
+    again = spec.power(1.0)  # evicted, so computed anew with the same value
+    assert again is not first
+    np.testing.assert_array_equal(again, first)
+
+
+def test_spectrum_memo_survives_concurrent_eviction():
+    # without the memo's lock, evicting the oldest entry while another
+    # thread stores one raises "dictionary changed size during iteration"
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    spec = linalg.sym_eig(np.diag([2.0, 1.0]))
+
+    def fill(j):
+        return all(spec.memoized((j, i), lambda: i) == i for i in range(3000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(fill, j) for j in range(8)]
+            assert all(fut.result(timeout=60) for fut in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(spec._memo) == linalg._MEMO_SIZE

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,3 +154,14 @@ def test_json_rejects(obj):
 def test_direct_constructor_requires_orthonormal():
     with pytest.raises(InputError):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_span_of_an_extreme_scale_vector_is_a_line(scale):
+    # the squared entries underflow to 0 or overflow to inf unless the
+    # Gram-Schmidt input is scaled first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = Subspace.span([scale, 0.0])
+    assert w.dim == 1
+    np.testing.assert_array_equal(np.abs(w.basis[:, 0]), [1.0, 0.0])
