@@ -3,47 +3,32 @@
 The two Jacobi kernels are vectorized with numpy: they visit the pairs in
 the round-robin ordering of Brent and Luk, whose every step is a set of
 n/2 disjoint pairs, so one step rotates all of them with a few array
-operations.  The PRNG fills are scalar loops, JIT-compiled with numba when
-it is importable and interpreted otherwise; a test pins the two modes to
-bit-identical outputs.
+operations.  The PRNG fills are plain Python loops on Python integers
+masked to 64 bits, the update equations of the generator module written
+once; each fill collects its values in a list and stores them into the
+output array in one assignment.  The normal fill takes ln and sqrt from
+``math.log`` and ``math.sqrt``, the functions the generator's contract
+names.
 
 All kernels are pure: inputs are never aliased to outputs except where a
 buffer is explicitly documented as modified in place.
 """
 
 import functools
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
+# Recorded by the benchmark harness (perfbench/run.py); no kernel is compiled.
+HAVE_NUMBA = False
 
 # xorshift64* / splitmix64 constants (see generator module for the contract)
-_SH11 = np.uint64(11)
-_SH12 = np.uint64(12)
-_SH25 = np.uint64(25)
-_SH27 = np.uint64(27)
-_SH30 = np.uint64(30)
-_SH31 = np.uint64(31)
-_XS_MULT = np.uint64(2685821657736338717)
-_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM_M2 = np.uint64(0x94D049BB133111EB)
-_INV53 = 1.0 / 9007199254740992.0  # 2**-53
+_MASK = (1 << 64) - 1
+_XS_MULT = 2685821657736338717
+_SM_GAMMA = 0x9E3779B97F4A7C15
+_SM_M1 = 0xBF58476D1CE4E5B9
+_SM_M2 = 0x94D049BB133111EB
+_INV53 = 2.0 ** -53
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,88 +145,74 @@ def onesided_jacobi(b, v, pair_tol, max_sweeps):
     v[...] = work[:, m:].T
 
 
-@njit(cache=True)
 def splitmix64(z):
-    """One splitmix64 step: returns (output, advanced state)."""
-    z = z + _SM_GAMMA
-    x = z
-    x = (x ^ (x >> _SH30)) * _SM_M1
-    x = (x ^ (x >> _SH27)) * _SM_M2
-    return x ^ (x >> _SH31), z
+    """One splitmix64 step on the integer ``z``: returns (output, advanced state)."""
+    z = (z + _SM_GAMMA) & _MASK
+    x = ((z ^ (z >> 30)) * _SM_M1) & _MASK
+    x = ((x ^ (x >> 27)) * _SM_M2) & _MASK
+    return x ^ (x >> 31), z
 
 
-@njit(cache=True)
 def fill_u64(state, out):
-    """Fill ``out`` (uint64) from the xorshift64* stream; returns new state."""
+    """Fill the 1-D uint64 array ``out`` from the xorshift64* stream; returns
+    the new state."""
     s = state
-    for i in range(out.size):
-        s ^= s >> _SH12
-        s ^= s << _SH25
-        s ^= s >> _SH27
-        out[i] = s * _XS_MULT
+    values = []
+    for _ in range(out.size):
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK
+        s ^= s >> 27
+        values.append((s * _XS_MULT) & _MASK)
+    out[:] = values
     return s
 
 
-@njit(cache=True)
 def fill_uniforms(state, out):
-    """Fill ``out`` (float64) with uniforms in [0, 1); returns new state."""
+    """Fill the 1-D float64 array ``out`` with uniforms in [0, 1); returns the
+    new state."""
     s = state
-    for i in range(out.size):
-        s ^= s >> _SH12
-        s ^= s << _SH25
-        s ^= s >> _SH27
-        out[i] = ((s * _XS_MULT) >> _SH11) * _INV53
+    values = []
+    for _ in range(out.size):
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK
+        s ^= s >> 27
+        values.append((((s * _XS_MULT) & _MASK) >> 11) * _INV53)
+    out[:] = values
     return s
 
 
-@njit(cache=True)
 def fill_normals(state, out, have_spare, spare):
-    """Fill ``out`` (float64) with standard normals via the polar method.
+    """Fill the 1-D float64 array ``out`` with standard normals via the polar
+    method, ln and sqrt taken by ``math.log`` and ``math.sqrt``.
 
     The spare variate of each accepted pair is emitted before new uniforms
     are drawn, so interleaved calls continue one well-defined stream.
     Returns (new state, have_spare, spare).
     """
     s = state
-    i = 0
-    n = out.size
-    while i < n:
+    values = []
+    left = out.size
+    while left:
         if have_spare:
-            out[i] = spare
+            values.append(spare)
             have_spare = False
-            i += 1
+            left -= 1
             continue
-        s ^= s >> _SH12
-        s ^= s << _SH25
-        s ^= s >> _SH27
-        u = ((s * _XS_MULT) >> _SH11) * _INV53
-        s ^= s >> _SH12
-        s ^= s << _SH25
-        s ^= s >> _SH27
-        v = ((s * _XS_MULT) >> _SH11) * _INV53
-        x = 2.0 * u - 1.0
-        y = 2.0 * v - 1.0
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK
+        s ^= s >> 27
+        x = 2.0 * ((((s * _XS_MULT) & _MASK) >> 11) * _INV53) - 1.0
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK
+        s ^= s >> 27
+        y = 2.0 * ((((s * _XS_MULT) & _MASK) >> 11) * _INV53) - 1.0
         r2 = x * x + y * y
         if r2 >= 1.0 or r2 == 0.0:
             continue
-        f = np.sqrt(-2.0 * np.log(r2) / r2)
-        out[i] = x * f
+        f = math.sqrt(-2.0 * math.log(r2) / r2)
+        values.append(x * f)
         spare = y * f
         have_spare = True
-        i += 1
+        left -= 1
+    out[:] = values
     return s, have_spare, spare
-
-
-if not HAVE_NUMBA:  # pragma: no cover
-    # numpy warns on wrapping uint64 arithmetic; the wrap is intentional.
-    def _quiet(fn):
-        def wrapped(*args):
-            with np.errstate(over="ignore"):
-                return fn(*args)
-
-        return wrapped
-
-    splitmix64 = _quiet(splitmix64)
-    fill_u64 = _quiet(fill_u64)
-    fill_uniforms = _quiet(fill_uniforms)
-    fill_normals = _quiet(fill_normals)

@@ -33,6 +33,14 @@ Derived values:
   (x = 2 u1 - 1, y = 2 u2 - 1, accept when 0 < x^2 + y^2 < 1, output
   x * m then y * m with m = sqrt(-2 ln(r2) / r2); the second variate is
   cached and emitted before any new uniforms are drawn)
+
+  ln and sqrt are IEEE 754 double operations: sqrt is correctly rounded,
+  and ln is the C library's ``log`` (Python's ``math.log``), which the
+  package and the reference stream in the tests both call.  IEEE 754 does
+  not require ``log`` to be correctly rounded, and C libraries do not all
+  promise it, so a platform whose ``log`` differs in the last bit for
+  some r2 gives a normal that differs there too.  numpy's vectorized
+  ``log`` is such a function on some hosts; the package does not use it.
 * integer in [lo, hi]: lo + (u mod (hi - lo + 1))
 * matrix of normals: filled row-major
 * substream i: a fresh generator whose seed is the first splitmix64
@@ -71,25 +79,23 @@ class Rng:
         ):
             raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         self.seed = seed
-        z = np.uint64(seed)
-        out = np.uint64(0)
+        z = seed
         while True:
             out, z = _kernels.splitmix64(z)
-            z = np.uint64(z)
-            if int(out) != 0:
+            if out:
                 break
-        self._state = np.uint64(out)
+        self._state = out
         self._have_spare = False
         self._spare = 0.0
 
     def u64(self) -> int:
         buf = np.empty(1, dtype=np.uint64)
-        self._state = np.uint64(_kernels.fill_u64(self._state, buf))
+        self._state = _kernels.fill_u64(self._state, buf)
         return int(buf[0])
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         buf = np.empty(1)
-        self._state = np.uint64(_kernels.fill_uniforms(self._state, buf))
+        self._state = _kernels.fill_uniforms(self._state, buf)
         return lo + (hi - lo) * float(buf[0])
 
     def normal(self) -> float:
@@ -98,10 +104,9 @@ class Rng:
     def normals(self, *shape) -> np.ndarray:
         out = np.empty(shape if shape else (1,))
         flat = out.reshape(-1)
-        state, self._have_spare, self._spare = _kernels.fill_normals(
+        self._state, self._have_spare, self._spare = _kernels.fill_normals(
             self._state, flat, self._have_spare, self._spare
         )
-        self._state = np.uint64(state)
         return out
 
     def randint(self, lo: int, hi: int) -> int:
@@ -114,9 +119,8 @@ class Rng:
         """Independent substream number ``index`` (see module docstring)."""
         if index < 0:
             raise InputError("substream index must be non-negative")
-        z = np.uint64((self.seed + index * _SM_GAMMA) & _U64_MAX)
-        out, _ = _kernels.splitmix64(z)
-        return Rng(int(out))
+        out, _ = _kernels.splitmix64((self.seed + index * _SM_GAMMA) & _U64_MAX)
+        return Rng(out)
 
 
 class Flavor(enum.Enum):

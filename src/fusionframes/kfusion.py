@@ -16,8 +16,9 @@ arbitrary inputs stay cheap.
 What depends on (S, K) alone is computed once per pair and kept in the
 spectrum's bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape,
 its float64 bytes and ``tol``: the verification report, the coefficient
-map ``gamma`` of ``atomic_decompose`` and the chain check's ||K+||.  A K
-changed in place is a new key; the cached arrays are read-only.
+map ``gamma`` of ``atomic_decompose``, and the chain check's ||K+|| and
+lambda_min(S - A K K.T).  A K changed in place is a new key; the cached
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -290,37 +291,33 @@ def frame_operator_chain_check(
     scale = max(b, 1e-300)
 
     # part 1: PSD chain; the smallest eigenvalue of B I - S is B - lambda_max
-    m1 = linalg.sym_eig(s - a_eff * (k @ k.T)).smallest / scale
+    m1 = _memoized(spec, "chain_lambda_min", k, tol,
+                   lambda: linalg.sym_eig(s - a_eff * (k @ k.T)).smallest) / scale
     margin1 = min(m1, (b - spec.largest) / scale)
     parts = {"psd_chain": PartResult(margin1 >= -tol, margin1)}
 
     kp_norm = _memoized(spec, "k_pinv_norm", k, tol,
                         lambda: linalg._pinv_norm(linalg.singular_values(k)))
-    s_inv = spec.pinv()
 
-    rng = Rng(seed)
-    margin2 = math.inf
-    margin3 = math.inf
-    for _ in range(trials):
-        x = rng.normals(n)
-        f = k @ x
-        nf = np.linalg.norm(f)
-        if nf <= 1e-12 * max(np.linalg.norm(x), 1.0):
-            continue
-        sf = s @ f
-        nsf = np.linalg.norm(sf)
-        margin2 = min(
-            margin2,
-            (nsf - a_eff / (kp_norm ** 2) * nf) / (scale * nf),
-            (b * nf - nsf) / (scale * nf),
-        )
-        ng = nsf  # sf is an element of S(range K)
-        if ng <= 1e-300:
-            continue
-        nsig = np.linalg.norm(s_inv @ sf)
-        margin3 = min(margin3, nsig * b / ng - 1.0)
+    # parts 2 and 3 over all trials at once: row i of f is K x_i
+    x = Rng(seed).normals(trials, n)
+    f = x @ k.T
+    nf = np.linalg.norm(f, axis=1)
+    live = nf > 1e-12 * np.maximum(np.linalg.norm(x, axis=1), 1.0)
+    f, nf = f[live], nf[live]
+    sf = f @ s  # S is symmetric
+    nsf = np.linalg.norm(sf, axis=1)
+    margin2 = margin3 = math.inf
+    if nf.size:
+        lo = a_eff / kp_norm ** 2
+        margin2 = float(np.min(np.minimum(nsf - lo * nf, b * nf - nsf) / (scale * nf)))
+    live = nsf > 1e-300  # the rows of sf are elements of S(range K)
+    sf, nsf = sf[live], nsf[live]
+    if nsf.size:
+        nsig = np.linalg.norm(sf @ spec.pinv(), axis=1)
+        margin3 = float(np.min(nsig * b / nsf - 1.0))
         if a_eff > 0:
-            margin3 = min(margin3, 1.0 - nsig * a_eff / (kp_norm ** 2 * ng))
+            margin3 = min(margin3, float(np.min(1.0 - nsig * a_eff / (kp_norm ** 2 * nsf))))
     if not math.isfinite(margin2):
         margin2 = 0.0  # zero operator: nothing to sample
     if not math.isfinite(margin3):
@@ -369,8 +366,7 @@ def frame_operator_atomic_check(
     b = max(system.spectrum().largest, 0.0)
     c = math.sqrt(b)
     if vectors is None:
-        rng = Rng(seed)
-        vectors = [rng.normals(system.ambient_dim) for _ in range(trials)]
+        vectors = list(Rng(seed).normals(trials, system.ambient_dim))
         vectors.extend(np.eye(system.ambient_dim).T)
     worst_rec = 0.0
     worst_margin = math.inf

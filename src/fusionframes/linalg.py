@@ -11,7 +11,8 @@ Algorithms, sized for desk-scale matrices (n <= 64 or so):
   below 1e-12 times the matrix norm (at most 100 sweeps),
 * SVD: one-sided Jacobi on the columns in the same order (applied to the
   transpose when that is the thin side), left vectors recovered from the
-  orthogonalized columns,
+  orthogonalized columns, each column's norm taken on the column scaled by
+  its own power of two,
 * both factorizations run on the input scaled by a power of two that
   brings its largest entry into [0.5, 1), and scale the results back;
   this is exact (away from underflow) and keeps every intermediate finite,
@@ -297,7 +298,11 @@ def svd(m):
         b, e = unit_scaled(m)
         v = np.eye(cols)
         _kernels.onesided_jacobi(b, v, _SVD_PAIR_TOL, _MAX_SWEEPS)
-        s = np.sqrt((b * b).sum(axis=0))
+        # each column norm on the column scaled by its own power of two, so
+        # no square underflows: exact, and no column reads 0 unless it is 0
+        col_e = np.frexp(np.abs(b).max(axis=0))[1]
+        c = np.ldexp(b, -col_e)
+        s = np.ldexp(np.sqrt((c * c).sum(axis=0)), col_e)
         u = np.zeros((rows, cols))
         nz = s > 0
         u[:, nz] = b[:, nz] / s[nz]

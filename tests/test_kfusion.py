@@ -6,8 +6,9 @@ import pytest
 from fusionframes import linalg
 from fusionframes.errors import InputError, PreconditionError, RangeInclusionError
 from fusionframes.fusion_systems import Member, WeightedSubspaceSystem, coordinate_lines
-from fusionframes.generator import GenSpec, Rng, generate
+from fusionframes.generator import Flavor, GenSpec, Rng, generate
 from fusionframes.kfusion import (
+    DEFAULT_TOL,
     atomic_decompose,
     douglas_factor,
     frame_operator_atomic_check,
@@ -380,6 +381,42 @@ def test_refutation_witness_agrees_with_the_verdict(system, k):
     assert (refutation_witness(system, k, tol=1e-8) is None) == rep.is_kff
 
 
+def _chain_margins_per_trial(system, k, tol, trials, seed):
+    # one trial at a time: a normals(n) call, a matrix-vector product and a
+    # vector norm per trial, lambda_min(S - A K K.T) from its own sym_eig
+    rep = kfusion_verify(system, k, tol)
+    a, b = rep.optimal_lower, rep.optimal_upper
+    a_eff = a if math.isfinite(a) else 0.0
+    s = system.frame_operator()
+    spec = system.spectrum()
+    scale = max(b, 1e-300)
+    margin1 = min(linalg.sym_eig(s - a_eff * (k @ k.T)).smallest / scale,
+                  (b - spec.largest) / scale)
+    kp_norm = linalg.operator_norm(linalg.pseudo_inverse(k))  # two SVDs of K
+    s_inv = spec.pinv()
+    rng = Rng(seed)
+    margin2 = margin3 = math.inf
+    for _ in range(trials):
+        x = rng.normals(system.ambient_dim)
+        f = k @ x
+        nf = np.linalg.norm(f)
+        if nf <= 1e-12 * max(np.linalg.norm(x), 1.0):
+            continue
+        sf = s @ f
+        nsf = np.linalg.norm(sf)
+        margin2 = min(margin2, (nsf - a_eff / (kp_norm ** 2) * nf) / (scale * nf),
+                      (b * nf - nsf) / (scale * nf))
+        if nsf <= 1e-300:
+            continue
+        nsig = np.linalg.norm(s_inv @ sf)
+        margin3 = min(margin3, nsig * b / nsf - 1.0)
+        if a_eff > 0:
+            margin3 = min(margin3, 1.0 - nsig * a_eff / (kp_norm ** 2 * nsf))
+    return {"psd_chain": margin1,
+            "range_norms": margin2 if math.isfinite(margin2) else 0.0,
+            "inverse_norms": margin3 if math.isfinite(margin3) else 0.0}
+
+
 def test_chain_check_margins_match_the_two_svd_formula():
     # the margins with ||K+|| taken as the operator norm of the pseudo-inverse
     rng = Rng(32)
@@ -388,25 +425,9 @@ def test_chain_check_margins_match_the_two_svd_formula():
         k = np.asarray(k, float)
         seed = rng.randint(0, 2 ** 31)
         rep = frame_operator_chain_check(system, k, seed=seed, trials=16)
-        a, b = rep.lower, rep.upper
-        s = system.frame_operator()
-        kp_norm = linalg.operator_norm(linalg.pseudo_inverse(k))
-        s_inv = system.spectrum().pinv()
-        sample = Rng(seed)
-        margin2 = margin3 = math.inf
-        for _ in range(16):
-            x = sample.normals(system.ambient_dim)
-            f = k @ x
-            nf = np.linalg.norm(f)
-            if nf <= 1e-12 * max(np.linalg.norm(x), 1.0):
-                continue
-            nsf = np.linalg.norm(s @ f)
-            margin2 = min(margin2, (nsf - a / kp_norm ** 2 * nf) / (b * nf),
-                          (b * nf - nsf) / (b * nf))
-            nsig = np.linalg.norm(s_inv @ (s @ f))
-            margin3 = min(margin3, nsig * b / nsf - 1.0, 1.0 - nsig * a / (kp_norm ** 2 * nsf))
-        assert rep.parts["range_norms"].margin == pytest.approx(margin2, abs=1e-12)
-        assert rep.parts["inverse_norms"].margin == pytest.approx(margin3, abs=1e-12)
+        expected = _chain_margins_per_trial(system, k, DEFAULT_TOL, 16, seed)
+        for part, margin in expected.items():
+            assert rep.parts[part].margin == pytest.approx(margin, abs=1e-12), part
 
 
 def _verified_pair(seed):
@@ -527,3 +548,74 @@ def test_memo_is_safe_to_share_between_threads():
     for (kj, f), dec in zip(jobs, decs):
         np.testing.assert_array_equal(dec.bundle.stacked(),
                                       atomic_decompose(fresh, kj, f).bundle.stacked())
+
+
+def _chain_cases():
+    """(id, system, K, trials, branch); members with 2 and 3 dimensions
+    at most cannot span R^8 and R^12, so S is singular there."""
+    cases = []
+    for seed, n, m, dims, branch in [(5, 8, 4, (), "inverse"), (6, 12, 5, (), "inverse"),
+                                     (7, 16, 6, (), "inverse"),
+                                     (8, 8, 2, (1, 2), "pseudo-inverse"),
+                                     (9, 12, 3, (1, 3), "pseudo-inverse")]:
+        system, k = generate(GenSpec(seed=seed, ambient_dim=n, member_count=m,
+                                     dim_range=dims, flavor=Flavor.K_FUSION_FRAME))
+        cases.append((f"generated-n{n}-m{m}", system, k, 64, branch))
+    cases.append(("zero-operator", coordinate_lines(3), np.zeros((3, 3)), 64, "inverse"))
+    cases.append(("no-trials", coordinate_lines(3, [1.0, 2.0, 3.0]), np.diag([1.0, 0.5, 0.0]),
+                  0, "inverse"))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, system, k, trials, branch", _chain_cases())
+def test_chain_check_margins_match_the_per_trial_loop(name, system, k, trials, branch):
+    rep = frame_operator_chain_check(system, k, trials=trials, seed=3)
+    expected = _chain_margins_per_trial(system, k, DEFAULT_TOL, trials, seed=3)
+    for part, margin in expected.items():
+        assert rep.parts[part].margin == pytest.approx(margin, rel=0, abs=1e-12), part
+    assert rep.all_ok and rep.branch == branch
+    if name in ("zero-operator", "no-trials"):  # nothing sampled
+        assert rep.parts["range_norms"].margin == rep.parts["inverse_norms"].margin == 0.0
+    if name == "no-trials":
+        full = frame_operator_chain_check(system, k, seed=3)
+        assert rep.parts["psd_chain"] == full.parts["psd_chain"]
+
+
+def test_second_chain_check_of_a_pair_makes_no_eigendecomposition(monkeypatch):
+    system, k = _verified_pair(47)
+    fresh, _ = _verified_pair(47)
+    first = frame_operator_chain_check(system, k)
+    calls = []
+    sym_eig = linalg.sym_eig
+
+    def counted(m):
+        calls.append(m)
+        return sym_eig(m)
+
+    monkeypatch.setattr(linalg, "sym_eig", counted)
+    again = frame_operator_chain_check(system, k)
+    assert calls == []
+    assert again.to_json() == first.to_json()
+    monkeypatch.undo()
+    assert frame_operator_chain_check(fresh, k).to_json() == again.to_json()
+
+
+def test_operator_changed_in_place_is_chain_checked_anew(monkeypatch):
+    system, k = _verified_pair(48)
+    before = frame_operator_chain_check(system, k)
+    k[:, 0] *= 2.0  # same range, another K K.T
+    calls = []
+    sym_eig = linalg.sym_eig
+
+    def counted(m):
+        calls.append(m)
+        return sym_eig(m)
+
+    monkeypatch.setattr(linalg, "sym_eig", counted)
+    after = frame_operator_chain_check(system, k)
+    assert len(calls) == 1  # S - A K K.T for the new K
+    monkeypatch.undo()
+    fresh, _ = _verified_pair(48)
+    assert after.to_json() == frame_operator_chain_check(fresh, k).to_json()
+    assert after.parts["psd_chain"].margin != before.parts["psd_chain"].margin

@@ -346,6 +346,16 @@ def test_svd_edge_cases_match_lapack(shape, kind, n):
     assert np.all(np.abs(g - np.diag(np.diag(g))) <= 1e-14 * np.outer(d, d))
 
 
+@pytest.mark.parametrize("d", [[1e300, 1.0], [1.0, 1e-200], [1e-150, 1e-310], [3.0, 0.0]])
+def test_svd_keeps_singular_values_far_below_the_largest(d):
+    # each column norm is taken on its own scale, so none underflows to 0
+    u, s, vt = linalg.svd(np.diag(d))
+    np.testing.assert_array_equal(s, sorted(d, reverse=True))
+    np.testing.assert_array_equal((u * s) @ vt, np.diag(d))
+    if min(d) > 0:
+        np.testing.assert_array_equal(u.T @ u, np.eye(2))
+
+
 _EXTREME = {
     "subnormal-coupling": np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1e-320], [0.0, 1e-320, 4.0]]),
     "subnormal-wide-gap": np.array(
