@@ -3,12 +3,13 @@
 The two Jacobi kernels are vectorized with numpy: they visit the pairs in
 the round-robin ordering of Brent and Luk, whose every step is a set of
 n/2 disjoint pairs, so one step rotates all of them with a few array
-operations.  The PRNG fills are plain Python loops on Python integers
-masked to 64 bits, the update equations of the generator module written
-once; each fill collects its values in a list and stores them into the
-output array in one assignment.  The normal fill takes ln and sqrt from
-``math.log`` and ``math.sqrt``, the functions the generator's contract
-names.
+operations.  The PRNG is plain Python on Python integers masked to 64
+bits, the update equations of the generator module: one scalar
+xorshift64* step for single draws, and the normal fill, which inlines the
+same step in its loop, collects its values in a list and stores them into
+the output array in one assignment.  The normal fill takes ln and sqrt
+from ``math.log`` and ``math.sqrt``, the functions the generator's
+contract names.
 
 All kernels are pure: inputs are never aliased to outputs except where a
 buffer is explicitly documented as modified in place.
@@ -153,32 +154,13 @@ def splitmix64(z):
     return x ^ (x >> 31), z
 
 
-def fill_u64(state, out):
-    """Fill the 1-D uint64 array ``out`` from the xorshift64* stream; returns
-    the new state."""
-    s = state
-    values = []
-    for _ in range(out.size):
-        s ^= s >> 12
-        s ^= (s << 25) & _MASK
-        s ^= s >> 27
-        values.append((s * _XS_MULT) & _MASK)
-    out[:] = values
-    return s
-
-
-def fill_uniforms(state, out):
-    """Fill the 1-D float64 array ``out`` with uniforms in [0, 1); returns the
-    new state."""
-    s = state
-    values = []
-    for _ in range(out.size):
-        s ^= s >> 12
-        s ^= (s << 25) & _MASK
-        s ^= s >> 27
-        values.append((((s * _XS_MULT) & _MASK) >> 11) * _INV53)
-    out[:] = values
-    return s
+def xorshift64star(s):
+    """One xorshift64* step on the integer state ``s``: returns (output,
+    advanced state)."""
+    s ^= s >> 12
+    s ^= (s << 25) & _MASK
+    s ^= s >> 27
+    return (s * _XS_MULT) & _MASK, s
 
 
 def fill_normals(state, out, have_spare, spare):

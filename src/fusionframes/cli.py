@@ -160,6 +160,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    linalg.check_tol(args.tol)
     system = _load_system(args.system)
     perturbed = _load_system(args.system_b)
     params = perturbation_estimate(system, perturbed)

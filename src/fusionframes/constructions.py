@@ -11,6 +11,12 @@ Surjectivity and invertibility of K and T are decided from their singular
 values at this module's relative threshold _RANK_TOL = 1e-8 (``_full_rank``), looser
 than the 1e-10 cut of ``linalg`` that forms images and spans.  ``tol``
 arguments default to ``kfusion.DEFAULT_TOL``.
+
+Every public entry validates K and T with ``linalg.as_operator`` and
+``tol`` with ``linalg.check_tol`` before any hypothesis is weighed, so
+malformed input raises InputError, never a vacuous report.  A hypothesis
+is reported as a ``kfusion.PartResult`` (ok, margin); the member
+invariance margin is ``Subspace.residual`` of the projected members.
 """
 
 from __future__ import annotations
@@ -23,17 +29,10 @@ import numpy as np
 from . import linalg
 from .errors import InadmissibleError, InputError, PreconditionError
 from .fusion_systems import Member, WeightedSubspaceSystem
-from .kfusion import DEFAULT_TOL, KFusionReport, kfusion_verify
+from .kfusion import DEFAULT_TOL, KFusionReport, PartResult, kfusion_verify
 from .subspaces import Subspace
 
 _RANK_TOL = 1e-8
-
-
-def _require_operator(t, n: int, name: str = "operator") -> np.ndarray:
-    t = linalg.require_square(linalg.as_matrix(t, name), name)
-    if t.shape[0] != n:
-        raise InputError(f"{name} is {t.shape[0]}x{t.shape[1]}, expected {n}x{n}")
-    return t
 
 
 def _full_rank(sv: np.ndarray) -> tuple[bool, float]:
@@ -48,7 +47,7 @@ def _full_rank(sv: np.ndarray) -> tuple[bool, float]:
 def transform_system(system: WeightedSubspaceSystem, t) -> WeightedSubspaceSystem:
     """The system {(T W_i, w_i)}: images are re-orthonormalized, weights
     kept, and collapsed images retained as zero subspaces."""
-    t = _require_operator(t, system.ambient_dim)
+    t = linalg.as_operator(t, system.ambient_dim)
     return WeightedSubspaceSystem(
         [Member(m.subspace.image_under(t), m.weight) for m in system.members]
     )
@@ -56,31 +55,16 @@ def transform_system(system: WeightedSubspaceSystem, t) -> WeightedSubspaceSyste
 
 def _invariance_defect(system: WeightedSubspaceSystem, projector) -> float:
     """Worst column residual of projector(W_i) against W_i over members."""
-    worst = 0.0
-    for m in system.members:
-        image = m.subspace.image_under(projector)
-        if image.is_zero():
-            continue
-        resid = image.basis - m.subspace.basis @ (m.subspace.basis.T @ image.basis)
-        worst = max(worst, float(np.sqrt((resid * resid).sum(axis=0)).max()))
-    return worst
+    return max(float(m.subspace.residual(m.subspace.image_under(projector).basis)
+                     .max(initial=0.0)) for m in system.members)
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    ok: bool
-    margin: float
-
-    def to_json(self) -> dict:
-        return {"ok": bool(self.ok), "margin": float(self.margin)}
-
-
-def _commutation(t, k, norm_t: float, norm_k: float, tol: float) -> HypothesisCheck:
+def _commutation(t, k, norm_t: float, norm_k: float, tol: float) -> PartResult:
     """The hypothesis TK = KT: ||TK - KT||_F <= tol * ||T|| ||K||, with the
     relative commutator as margin."""
     scale = max(norm_t * norm_k, 1e-300)
     commutator = np.linalg.norm(t @ k - k @ t)
-    return HypothesisCheck(commutator <= tol * scale, commutator / scale)
+    return PartResult(bool(commutator <= tol * scale), commutator / scale)
 
 
 @dataclass(frozen=True)
@@ -129,8 +113,8 @@ def commuting_transform_construct(
     otherwise).
     """
     n = system.ambient_dim
-    k = _require_operator(k, n, "operator K")
-    t = _require_operator(t, n, "operator T")
+    k = linalg.as_operator(k, n, "operator K")
+    t = linalg.as_operator(t, n, "operator T")
     base = kfusion_verify(system, k, tol)
     if not base.is_kff:
         raise PreconditionError("input system is refuted for this operator")
@@ -140,9 +124,9 @@ def commuting_transform_construct(
     hyp_commute = _commutation(t, k, norm_t, linalg.operator_norm(k), tol)
 
     worst = _invariance_defect(system, linalg.pseudo_inverse(t) @ t)
-    hyp_invariant = HypothesisCheck(worst <= tol, worst)
+    hyp_invariant = PartResult(worst <= tol, worst)
 
-    hyp_surjective = HypothesisCheck(*_full_rank(sv_t))
+    hyp_surjective = PartResult(*_full_rank(sv_t))
 
     hypotheses = {
         "commutes": hyp_commute,
@@ -187,8 +171,7 @@ class ConsistencyReport:
             "consistent": None if self.consistent is None else bool(self.consistent),
             "verified": bool(self.verified),
             "sigma_min_ratio": float(self.sigma_min_ratio),
-            **{k: (bool(v) if isinstance(v, (bool,)) or hasattr(v, "dtype") else v)
-               for k, v in self.details.items()},
+            **self.details,
         }
 
 
@@ -199,8 +182,9 @@ def surjectivity_consistency_check(
     surjective.  Checks the implication both ways round (a rank-deficient
     T must yield a refutation).  Raises when K is not full rank."""
     n = system.ambient_dim
-    k = _require_operator(k, n, "operator K")
-    t = _require_operator(t, n, "operator T")
+    k = linalg.as_operator(k, n, "operator K")
+    t = linalg.as_operator(t, n, "operator T")
+    linalg.check_tol(tol)
     if not _full_rank(linalg.singular_values(k))[0]:
         raise PreconditionError("operator K must have full rank (dense range)")
     report = kfusion_verify(transform_system(system, t), k, tol)
@@ -226,8 +210,9 @@ def invertibility_consistency_check(
     verify, T must be invertible.  Hypothesis failures make the sweep
     vacuous rather than erroring."""
     n = system.ambient_dim
-    k = _require_operator(k, n, "operator K")
-    t = _require_operator(t, n, "operator T")
+    k = linalg.as_operator(k, n, "operator K")
+    t = linalg.as_operator(t, n, "operator T")
+    linalg.check_tol(tol)
     sv_k = linalg.singular_values(k)
     sv_t = linalg.singular_values(t)
     dense = _full_rank(sv_k)[0]
@@ -271,7 +256,7 @@ def basis_image_system(k):
     with collapsed columns kept as zero subspaces.  Always verifies for K
     since the spans jointly carry the whole range of K; the verification
     report is returned alongside the system."""
-    k = linalg.require_square(linalg.as_matrix(k, "operator K"))
+    k = linalg.as_operator(k, None, "operator K")
     n = k.shape[0]
     members = [
         Member(Subspace.from_spanning(k[:, [i]]), 1.0) for i in range(n)
@@ -308,7 +293,8 @@ def operator_image_construct(
     to verify for K; hypothesis failure downgrades the report to vacuous.
     Raises PreconditionError when the input is not a fusion frame."""
     n = system.ambient_dim
-    k = _require_operator(k, n, "operator K")
+    k = linalg.as_operator(k, n, "operator K")
+    linalg.check_tol(tol)
     if system.spectrum().rank() < n:
         raise PreconditionError("input system is not a fusion frame (singular frame operator)")
     worst = _invariance_defect(system, linalg.pseudo_inverse(k) @ k)

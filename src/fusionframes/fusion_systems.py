@@ -163,18 +163,11 @@ class WeightedSubspaceSystem:
     def weights(self) -> np.ndarray:
         return np.array([m.weight for m in self.members])
 
-    def has_local_frames(self) -> bool:
-        return any(m.local_frame for m in self.members)
-
     # operators -------------------------------------------------------------
 
     def analysis(self, f) -> CoefficientBundle:
         """{w_i P_i f}: block i is the weighted projection of f onto W_i."""
-        f = linalg.as_vector(f)
-        if f.shape[0] != self.ambient_dim:
-            raise InputError(
-                f"vector has dimension {f.shape[0]}, expected {self.ambient_dim}"
-            )
+        f = linalg.as_vector(f, n=self.ambient_dim)
         return CoefficientBundle(
             [m.weight * m.subspace.project(f) for m in self.members]
         )
@@ -189,12 +182,7 @@ class WeightedSubspaceSystem:
             )
         out = np.zeros(self.ambient_dim)
         for m, block in zip(self.members, bundle.blocks):
-            if block.shape[0] != self.ambient_dim:
-                raise InputError(
-                    f"bundle block has dimension {block.shape[0]}, "
-                    f"expected {self.ambient_dim}"
-                )
-            out += m.weight * block
+            out += m.weight * linalg.as_vector(block, "bundle block", self.ambient_dim)
         return out
 
     def check_bundle(self, bundle: CoefficientBundle) -> None:
@@ -202,10 +190,11 @@ class WeightedSubspaceSystem:
         if len(bundle) != len(self.members):
             raise InputError("bundle shape does not match the system")
         for i, (m, block) in enumerate(zip(self.members, bundle.blocks)):
+            block = linalg.as_vector(block, f"bundle block {i}", self.ambient_dim)
             nb = np.linalg.norm(block)
             if nb == 0.0:
                 continue
-            resid = np.linalg.norm(block - m.subspace.project(block))
+            resid = float(m.subspace.residual(block))
             if resid > _BLOCK_TOL * nb:
                 raise InputError(
                     f"bundle block {i} is outside its subspace "
@@ -239,8 +228,7 @@ class WeightedSubspaceSystem:
 
     def fusion_bounds(self, tol: float = DEFAULT_VERDICT_TOL) -> BoundsReport:
         """Optimal bounds = extremal eigenvalues of the frame operator."""
-        if tol <= 0:
-            raise InputError("tol must be positive")
+        linalg.check_tol(tol)
         spec = self.spectrum()
         return classify_bounds(spec.smallest, spec.largest, tol)
 

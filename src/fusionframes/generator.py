@@ -89,14 +89,11 @@ class Rng:
         self._spare = 0.0
 
     def u64(self) -> int:
-        buf = np.empty(1, dtype=np.uint64)
-        self._state = _kernels.fill_u64(self._state, buf)
-        return int(buf[0])
+        out, self._state = _kernels.xorshift64star(self._state)
+        return out
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        buf = np.empty(1)
-        self._state = _kernels.fill_uniforms(self._state, buf)
-        return lo + (hi - lo) * float(buf[0])
+        return lo + (hi - lo) * ((self.u64() >> 11) * 2.0 ** -53)
 
     def normal(self) -> float:
         return float(self.normals(1)[0])

@@ -11,7 +11,14 @@ sigma_max(S^(+1/2) K)^2, and the canonical dual a_i = w_i P_i S^+ K f is
 the minimal-norm atomic decomposition, with constant A^(-1/2).  This is
 exact and avoids any infimum search.  Refutation is a first-class result
 (``is_kff = False``, lower bound 0), not an error, so sweeps over
-arbitrary inputs stay cheap.
+arbitrary inputs stay cheap.  ``refutation_witness`` reads its verdict
+from that same report, so it is None exactly when the pair verifies.
+
+Every public entry validates K (and T) with ``linalg.as_operator`` and
+``tol`` with ``linalg.check_tol`` (finite and > 0), directly or through
+``kfusion_verify``; malformed input raises InputError.  The chain check
+forms its quantities from K scaled by a power of two (with A scaled to
+match), so its margins do not depend on the scale of K.
 
 What depends on (S, K) alone is computed once per pair and kept in the
 spectrum's bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape,
@@ -52,8 +59,7 @@ def douglas_factor(u, v, tol: float = 1e-9) -> np.ndarray:
         raise InputError(
             f"row counts differ: {u.shape[0]} vs {v.shape[0]}"
         )
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    linalg.check_tol(tol)
     t = linalg.pseudo_inverse(v) @ u
     scale = linalg.norm(u)
     if scale == 0.0:
@@ -82,13 +88,13 @@ class KFusionReport:
     residual: float
     gamma: np.ndarray | None = None
 
-    def to_json(self, parts: dict | None = None) -> dict:
+    def to_json(self) -> dict:
         return {
             "is_kff": bool(self.is_kff),
             "lower": float(self.optimal_lower),
             "upper": float(self.optimal_upper),
             "residual": float(self.residual),
-            "parts": parts if parts is not None else {},
+            "parts": {},
         }
 
 
@@ -126,12 +132,8 @@ def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) ->
     operator S with eigendecomposition ``spec`` and report optimal constants.
     K is scaled by a power of two, so no product overflows.  The report is
     memoized per (K, tol) on ``spec``; its ``factor_t`` is read-only."""
-    n = spec.eigenvalues.shape[0]
-    k = linalg.require_square(linalg.as_matrix(k, "operator K"))
-    if k.shape[0] != n:
-        raise InputError(f"operator is {k.shape[0]}x{k.shape[1]}, expected {n}x{n}")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    k = linalg.as_operator(k, spec.eigenvalues.shape[0], "operator K")
+    linalg.check_tol(tol)
     return _memoized(spec, "report", k, tol, lambda: _verify(spec, k, tol))
 
 
@@ -159,12 +161,14 @@ def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_T
 
     Such a direction drives the ratio <S f, f> / ||K.T f||^2 to zero, so no
     positive lower bound (equivalently, no uniform decomposition constant)
-    can exist.  Returns None exactly when ``kfusion_verify`` verifies at ``tol``.
+    can exist.  Returns None exactly when ``kfusion_verify`` verifies at
+    ``tol``: the verdict is that of its (memoized) report.
     """
-    k_hat, _ = linalg.unit_scaled(linalg.as_matrix(k, "operator K"))
-    null_basis = system.spectrum().null_basis()
-    if _range_defect(null_basis, k_hat) <= tol:
+    k = linalg.as_operator(k, system.ambient_dim, "operator K")
+    if kfusion_verify(system, k, tol).is_kff:
         return None
+    k_hat, _ = linalg.unit_scaled(k)
+    null_basis = system.spectrum().null_basis()
     _, _, vt = linalg.svd(k_hat.T @ null_basis)
     direction = null_basis @ vt[0]
     return direction / np.linalg.norm(direction)
@@ -202,12 +206,8 @@ def atomic_decompose(
     PreconditionError when the system is refuted for ``k`` at ``tol`` (no
     uniform constant can exist then).
     """
-    f = linalg.as_vector(f)
-    if f.shape[0] != system.ambient_dim:
-        raise InputError(
-            f"vector has dimension {f.shape[0]}, expected {system.ambient_dim}"
-        )
-    k = linalg.as_matrix(k, "operator K")
+    f = linalg.as_vector(f, n=system.ambient_dim)
+    k = linalg.as_operator(k, system.ambient_dim, "operator K")
     report = kfusion_verify(system, k, tol)
     if not report.is_kff:
         raise PreconditionError(
@@ -233,6 +233,8 @@ def atomic_decompose(
 
 @dataclass(frozen=True)
 class PartResult:
+    """One checked part or hypothesis: whether it holds, and its margin."""
+
     ok: bool
     margin: float
 
@@ -279,12 +281,16 @@ def frame_operator_chain_check(
     Margins are worst cases over ``trials`` sampled range vectors,
     normalized by the upper bound.
     """
-    k = linalg.require_square(linalg.as_matrix(k, "operator K"))
+    k = linalg.as_operator(k, system.ambient_dim, "operator K")
     report = kfusion_verify(system, k, tol)
     if not report.is_kff:
         raise PreconditionError("system is refuted for this operator")
     a, b = report.optimal_lower, report.optimal_upper
-    a_eff = a if math.isfinite(a) else 0.0
+    # Every quantity below is formed from K^ = K 2^-e and A 4^e, which give
+    # A K K.T = (A 4^e) K^ K^.T and A ||K+||^-2 = (A 4^e) ||K^+||^-2: exact,
+    # finite at any scale of K, and the sampled rows K^ x keep their size.
+    k_hat, e = linalg.unit_scaled(k)
+    a_hat = math.ldexp(a, 2 * e) if math.isfinite(a) else 0.0
     s = system.frame_operator()
     spec = system.spectrum()
     n = system.ambient_dim
@@ -292,32 +298,33 @@ def frame_operator_chain_check(
 
     # part 1: PSD chain; the smallest eigenvalue of B I - S is B - lambda_max
     m1 = _memoized(spec, "chain_lambda_min", k, tol,
-                   lambda: linalg.sym_eig(s - a_eff * (k @ k.T)).smallest) / scale
+                   lambda: linalg.sym_eig(s - a_hat * (k_hat @ k_hat.T)).smallest) / scale
     margin1 = min(m1, (b - spec.largest) / scale)
     parts = {"psd_chain": PartResult(margin1 >= -tol, margin1)}
 
-    kp_norm = _memoized(spec, "k_pinv_norm", k, tol,
-                        lambda: linalg._pinv_norm(linalg.singular_values(k)))
+    # ||K^+||: the singular values of K, scaled exactly to those of K^
+    kp_norm = _memoized(spec, "k_hat_pinv_norm", k, tol, lambda: linalg._pinv_norm(
+        np.ldexp(linalg.singular_values(k), -e)))
 
-    # parts 2 and 3 over all trials at once: row i of f is K x_i
+    # parts 2 and 3 over all trials at once: row i of f is K^ x_i
     x = Rng(seed).normals(trials, n)
-    f = x @ k.T
-    nf = np.linalg.norm(f, axis=1)
+    f = x @ k_hat.T
+    nf = np.linalg.norm(f, axis=1)  # entries of K^ below 1: no kept row over- or underflows
     live = nf > 1e-12 * np.maximum(np.linalg.norm(x, axis=1), 1.0)
     f, nf = f[live], nf[live]
     sf = f @ s  # S is symmetric
-    nsf = np.linalg.norm(sf, axis=1)
+    nsf = linalg.axis_norms(sf, 1)
     margin2 = margin3 = math.inf
     if nf.size:
-        lo = a_eff / kp_norm ** 2
+        lo = a_hat / kp_norm ** 2
         margin2 = float(np.min(np.minimum(nsf - lo * nf, b * nf - nsf) / (scale * nf)))
     live = nsf > 1e-300  # the rows of sf are elements of S(range K)
     sf, nsf = sf[live], nsf[live]
     if nsf.size:
-        nsig = np.linalg.norm(sf @ spec.pinv(), axis=1)
+        nsig = linalg.axis_norms(sf @ spec.pinv(), 1)
         margin3 = float(np.min(nsig * b / nsf - 1.0))
-        if a_eff > 0:
-            margin3 = min(margin3, float(np.min(1.0 - nsig * a_eff / (kp_norm ** 2 * nsf))))
+        if a_hat > 0:
+            margin3 = min(margin3, float(np.min(1.0 - nsig * a_hat / (kp_norm ** 2 * nsf))))
     if not math.isfinite(margin2):
         margin2 = 0.0  # zero operator: nothing to sample
     if not math.isfinite(margin3):
@@ -362,6 +369,7 @@ def frame_operator_atomic_check(
     most sqrt(B) ||f||.  Checks both conditions over the supplied vectors
     (or a seeded sample) and reports worst relative margins.
     """
+    linalg.check_tol(tol)
     s = system.frame_operator()
     b = max(system.spectrum().largest, 0.0)
     c = math.sqrt(b)
@@ -371,7 +379,7 @@ def frame_operator_atomic_check(
     worst_rec = 0.0
     worst_margin = math.inf
     for f in vectors:
-        f = linalg.as_vector(f)
+        f = linalg.as_vector(f, n=system.ambient_dim)
         bundle = system.analysis(f)
         rec = system.synthesis(bundle)
         target = s @ f
@@ -413,12 +421,14 @@ def range_transfer_check(
     """Check that verification for ``k`` transfers to any operator ``t``
     whose range is contained in the range of ``k``.  Vacuous (no assertion)
     when the inclusion fails."""
+    k = linalg.as_operator(k, system.ambient_dim, "operator K")
+    t = linalg.as_operator(t, system.ambient_dim, "operator T")
     base = kfusion_verify(system, k, tol)
     if not base.is_kff:
         raise PreconditionError("system is refuted for the base operator")
     transferred = kfusion_verify(system, t, tol)
     try:
-        douglas_factor(linalg.as_matrix(t), linalg.as_matrix(k), tol)
+        douglas_factor(t, k, tol)
         inclusion = True
     except RangeInclusionError:
         inclusion = False

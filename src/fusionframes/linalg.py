@@ -20,6 +20,12 @@ Algorithms, sized for desk-scale matrices (n <= 64 or so):
   below DEFAULT_TOL = 1e-10 times the largest one are zero; ``_kept`` is
   that one cut, with no per-call override.
 
+Input validation is written once here, one function per kind of input,
+and raises InputError: ``as_matrix``, ``as_operator`` (a finite n x n
+matrix, for every public entry that takes K or T, and for any square
+input), ``as_vector`` (with an optional length) and ``check_tol`` (a verdict
+tolerance, finite and > 0).
+
 All functions are pure: arguments are never mutated and results are fresh
 arrays, safe to share across threads.  The one exception is a
 ``Spectrum``'s memo (``Spectrum.memoized``): its values, such as the
@@ -59,8 +65,19 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(obj, name: str = "vector") -> np.ndarray:
-    """Validate ``obj`` as a finite real vector and return it as float64."""
+def as_operator(obj, n: int | None, name: str = "operator") -> np.ndarray:
+    """Validate ``obj`` as an operator on R^n: a finite real n x n matrix
+    (any square one when ``n`` is None), returned as float64."""
+    m = as_matrix(obj, name)
+    n = m.shape[0] if n is None else n
+    if m.shape != (n, n):
+        raise InputError(f"{name} is {m.shape[0]}x{m.shape[1]}, expected {n}x{n}")
+    return m
+
+
+def as_vector(obj, name: str = "vector", n: int | None = None) -> np.ndarray:
+    """Validate ``obj`` as a finite real vector, of length ``n`` when given,
+    and return it as float64."""
     try:
         v = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -69,13 +86,19 @@ def as_vector(obj, name: str = "vector") -> np.ndarray:
         raise InputError(f"{name}: expected a 1-D vector, got ndim={v.ndim}")
     if v.size and not np.all(np.isfinite(v)):
         raise InputError(f"{name}: entries must be finite (no NaN/Inf)")
+    if n is not None and v.shape[0] != n:
+        raise InputError(f"{name} has dimension {v.shape[0]}, expected {n}")
     return v
 
 
-def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
-        raise InputError(f"{name}: expected square, got {m.shape[0]}x{m.shape[1]}")
-    return m
+def check_tol(value) -> None:
+    """Validate a verdict tolerance ``tol``: finite and > 0."""
+    try:
+        ok = math.isfinite(value) and value > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InputError(f"tol must be finite and positive, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +287,23 @@ def norm(x) -> float:
         return float(np.ldexp(np.linalg.norm(x), e))
 
 
+def axis_norms(m: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms of the columns (``axis=0``) or rows (``axis=1``) of
+    ``m``, each taken on the column or row scaled by its own power of two:
+    exact, no square overflows or underflows, and none reads 0 unless it
+    is 0."""
+    e = np.frexp(np.abs(m).max(axis=axis, keepdims=True))[1]
+    c = np.ldexp(m, -e)
+    return np.ldexp(np.sqrt((c * c).sum(axis=axis)), e.squeeze(axis))
+
+
 def sym_eig(s) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix by Jacobi sweeps.
 
     Raises InputError when ``s`` is not symmetric within _SYM_TOL relative
     to its norm.
     """
-    s, e = unit_scaled(require_square(as_matrix(s, "sym_eig input"), "sym_eig input"))
+    s, e = unit_scaled(as_operator(s, None, "sym_eig input"))
     scale = np.linalg.norm(s)
     if scale > 0 and np.linalg.norm(s - s.T) > _SYM_TOL * scale:
         raise InputError("sym_eig: input is not symmetric within tolerance")
@@ -298,11 +331,7 @@ def svd(m):
         b, e = unit_scaled(m)
         v = np.eye(cols)
         _kernels.onesided_jacobi(b, v, _SVD_PAIR_TOL, _MAX_SWEEPS)
-        # each column norm on the column scaled by its own power of two, so
-        # no square underflows: exact, and no column reads 0 unless it is 0
-        col_e = np.frexp(np.abs(b).max(axis=0))[1]
-        c = np.ldexp(b, -col_e)
-        s = np.ldexp(np.sqrt((c * c).sum(axis=0)), col_e)
+        s = axis_norms(b, 0)
         u = np.zeros((rows, cols))
         nz = s > 0
         u[:, nz] = b[:, nz] / s[nz]
@@ -379,8 +408,6 @@ def sqrt_psd(s) -> np.ndarray:
 def psd_leq(p, q, tol: float) -> bool:
     """Loewner-order test: True iff the smallest eigenvalue of q - p is at
     least -tol.  Both matrices must be symmetric and of equal size."""
-    p = require_square(as_matrix(p, "psd_leq lhs"), "psd_leq lhs")
-    q = require_square(as_matrix(q, "psd_leq rhs"), "psd_leq rhs")
-    if p.shape != q.shape:
-        raise InputError(f"psd_leq: dimension mismatch {p.shape} vs {q.shape}")
+    p = as_operator(p, None, "psd_leq lhs")
+    q = as_operator(q, p.shape[0], "psd_leq rhs")
     return sym_eig(q - p).smallest >= -tol

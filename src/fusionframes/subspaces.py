@@ -84,38 +84,34 @@ class Subspace:
         return self._projection
 
     def project(self, f) -> np.ndarray:
-        f = linalg.as_vector(f)
-        if f.shape[0] != self.ambient_dim:
-            raise InputError(
-                f"vector has dimension {f.shape[0]}, expected {self.ambient_dim}"
-            )
+        f = linalg.as_vector(f, n=self.ambient_dim)
         return self.basis @ (self.basis.T @ f)
+
+    def residual(self, m):
+        """Column norms of m - P m, the parts of the columns of ``m`` outside
+        the subspace (the norm, for a vector ``m``).  ``m`` must have
+        ``ambient_dim`` rows; it is not validated."""
+        resid = m - self.basis @ (self.basis.T @ m)
+        return np.sqrt((resid * resid).sum(axis=0))
 
     def image_under(self, t) -> "Subspace":
         """The image subspace t(W); the rank may drop (possibly to zero)."""
-        t = linalg.as_matrix(t, "operator")
-        if t.shape != (self.ambient_dim, self.ambient_dim):
-            raise InputError(
-                f"operator is {t.shape[0]}x{t.shape[1]}, expected "
-                f"{self.ambient_dim}x{self.ambient_dim}"
-            )
+        t = linalg.as_operator(t, self.ambient_dim)
         if self.is_zero():
             return Subspace.zero(self.ambient_dim)
         return Subspace.from_spanning(t @ self.basis)
 
     def contains(self, other: "Subspace", tol: float = 1e-9) -> bool:
         """True iff every basis vector of ``other`` lies in this subspace
-        within ``tol`` (column-wise residual)."""
+        within ``tol`` (column-wise ``residual``)."""
+        linalg.check_tol(tol)
         if not isinstance(other, Subspace):
             raise InputError("contains expects a Subspace")
         if other.ambient_dim != self.ambient_dim:
             raise InputError(
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
-        if other.is_zero():
-            return True
-        resid = other.basis - self.basis @ (self.basis.T @ other.basis)
-        return float(np.sqrt((resid * resid).sum(axis=0)).max()) <= tol
+        return float(self.residual(other.basis).max(initial=0.0)) <= tol
 
     def projection_distance(self, other: "Subspace") -> float:
         """Operator-norm gap between the two projections."""

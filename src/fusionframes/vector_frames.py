@@ -32,16 +32,12 @@ class VectorFrame:
     __slots__ = ("ambient_dim", "vectors")
 
     def __init__(self, ambient_dim: int, vectors):
-        vectors = tuple(linalg.as_vector(v, "frame vector") for v in vectors)
-        if not vectors:
-            raise InputError("a vector frame needs at least one vector")
         if ambient_dim < 1:
             raise InputError(f"ambient_dim must be positive, got {ambient_dim}")
-        for i, v in enumerate(vectors):
-            if v.shape[0] != ambient_dim:
-                raise InputError(
-                    f"vector {i} has dimension {v.shape[0]}, expected {ambient_dim}"
-                )
+        vectors = tuple(linalg.as_vector(v, f"frame vector {i}", ambient_dim)
+                        for i, v in enumerate(vectors))
+        if not vectors:
+            raise InputError("a vector frame needs at least one vector")
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "vectors", vectors)
 
@@ -69,6 +65,7 @@ class VectorFrame:
 
 def vector_frame_bounds(frame: VectorFrame, tol: float = DEFAULT_VERDICT_TOL) -> BoundsReport:
     """Optimal bounds = extremal eigenvalues of sum f_i f_i.T."""
+    linalg.check_tol(tol)
     spec = linalg.sym_eig(frame.frame_operator())
     return classify_bounds(spec.smallest, spec.largest, tol)
 
@@ -79,11 +76,12 @@ def kframe_verify(frame: VectorFrame, k, tol: float = DEFAULT_TOL) -> KFusionRep
     witness gamma = T.T S+ K (T the synthesis matrix, the canonical dual
     route): its rows give, for each f, the minimal-norm coefficients
     {a_i} with K f = sum a_i f_i, of norm at most ||gamma|| ||f||."""
+    k = linalg.as_operator(k, frame.ambient_dim, "operator K")
     spec = linalg.sym_eig(frame.frame_operator())
     report = verify_operator_bound(spec, k, tol)
     if not report.is_kff:
         return report
-    gamma = frame.synthesis_matrix().T @ spec.pinv() @ linalg.as_matrix(k, "operator K")
+    gamma = frame.synthesis_matrix().T @ spec.pinv() @ k
     return replace(report, gamma=gamma)
 
 
@@ -133,29 +131,24 @@ def local_to_global_check(
     coordinates.  A non-spanning local frame is reported as a local
     failure (C = 0) and makes the comparison vacuous.
     """
+    linalg.check_tol(tol)
     local_lower = []
     local_upper = []
     global_vectors = []
     for i, m in enumerate(system.members):
         sub = m.subspace
+        local = [linalg.as_vector(v, f"local vector [{i}][{j}]", system.ambient_dim)
+                 for j, v in enumerate(m.local_frame)]
         if sub.dim == 0:
-            for v in m.local_frame:
-                if np.linalg.norm(v) > tol:
-                    raise InputError(
-                        f"member {i}: local vector outside the zero subspace"
-                    )
+            if any(np.linalg.norm(v) > tol for v in local):
+                raise InputError(f"member {i}: local vector outside the zero subspace")
             continue
-        if not m.local_frame:
+        if not local:
             raise InputError(f"member {i}: missing local frame")
         coords = []
-        for j, v in enumerate(m.local_frame):
-            v = linalg.as_vector(v, f"local vector [{i}][{j}]")
-            if v.shape[0] != system.ambient_dim:
-                raise InputError(
-                    f"member {i}: local vector {j} has dimension {v.shape[0]}"
-                )
+        for j, v in enumerate(local):
             nv = np.linalg.norm(v)
-            resid = np.linalg.norm(v - sub.project(v))
+            resid = float(sub.residual(v))
             if nv > 0 and resid > tol * nv:
                 raise InputError(
                     f"member {i}: local vector {j} lies outside its subspace "

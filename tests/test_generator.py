@@ -73,6 +73,18 @@ def test_u64_stream_matches_documented_equations(seed):
         assert rng.u64() == ref.u64()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 64 - 1, 123456789])
+def test_uniform_stream_matches_documented_equations(seed):
+    rng = Rng(seed)
+    ref = RefStream(seed)
+    for _ in range(200):
+        assert rng.uniform() == ref.uniform()
+    # the affine map of uniform(lo, hi), interleaved with integer draws
+    for _ in range(50):
+        assert rng.uniform(-3.0, 5.0) == -3.0 + 8.0 * ref.uniform()
+        assert rng.u64() == ref.u64()
+
+
 @pytest.mark.parametrize("seed", [1, 7, 99])
 def test_normal_stream_matches_documented_equations(seed):
     rng = Rng(seed)

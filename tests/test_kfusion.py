@@ -619,3 +619,29 @@ def test_operator_changed_in_place_is_chain_checked_anew(monkeypatch):
     fresh, _ = _verified_pair(48)
     assert after.to_json() == frame_operator_chain_check(fresh, k).to_json()
     assert after.parts["psd_chain"].margin != before.parts["psd_chain"].margin
+
+
+def _generated_pair(seed, n, m, dims=()):
+    return generate(GenSpec(seed=seed, ambient_dim=n, member_count=m, dim_range=dims,
+                            flavor=Flavor.K_FUSION_FRAME))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed, n, m, dims", [(5, 6, 4, ()), (6, 12, 5, ()), (8, 8, 2, (1, 2))])
+def test_chain_check_parts_do_not_depend_on_the_scale_of_k(seed, n, m, dims):
+    system, k = _generated_pair(seed, n, m, dims)
+    k = np.asarray(k, float)
+    base = frame_operator_chain_check(system, k)
+    assert base.parts["range_norms"].margin != 0.0  # the rows of K x are sampled
+    for j in (-500, -70, 70, 500):
+        scaled = frame_operator_chain_check(system, np.ldexp(k, j))
+        assert scaled.parts == base.parts, j  # bit for bit: the scaling is exact
+        assert scaled.branch == base.branch
+
+
+@pytest.mark.filterwarnings("error")
+def test_chain_check_with_k_k_transpose_beyond_the_float_range():
+    system, k = coordinate_lines(2, [1e100, 1e100]), 1e250 * np.eye(2)
+    assert kfusion_verify(system, k).optimal_lower == pytest.approx(1e-300)
+    rep = frame_operator_chain_check(system, k)
+    assert rep.all_ok and rep.branch == "inverse"
