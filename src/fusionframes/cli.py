@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--system", required=True, help="system JSON file")
         if operator:
             p.add_argument("--operator", help="operator matrix JSON file")
-        p.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
+        p.add_argument("--tol", type=float, default=linalg.DEFAULT_VERDICT_TOL,
+                       help="tolerance (default %(default)s)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to this file")
 

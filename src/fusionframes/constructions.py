@@ -8,9 +8,9 @@ raising, so randomized sweeps can feed them arbitrary inputs and only
 genuine implication violations count as failures.
 
 Surjectivity and invertibility of K and T are decided from their singular
-values at this module's relative threshold _RANK_TOL = 1e-8 (``_full_rank``), looser
-than the 1e-10 cut of ``linalg`` that forms images and spans.  ``tol``
-arguments default to ``kfusion.DEFAULT_TOL``.
+values at the one rank cut of ``linalg`` (``_kept``), the cut that also
+forms images, spans and ||T+||.  ``tol`` arguments default to
+``kfusion.DEFAULT_TOL``.
 
 Every public entry validates K and T with ``linalg.as_operator`` and
 ``tol`` with ``linalg.check_tol`` before any hypothesis is weighed, so
@@ -32,16 +32,13 @@ from .fusion_systems import Member, WeightedSubspaceSystem
 from .kfusion import DEFAULT_TOL, KFusionReport, PartResult, kfusion_verify
 from .subspaces import Subspace
 
-_RANK_TOL = 1e-8
-
-
 def _full_rank(sv: np.ndarray) -> tuple[bool, float]:
     """Whether a square matrix with the descending singular values ``sv`` has
-    full rank at this module's threshold (sigma_min > _RANK_TOL * sigma_max),
-    and the ratio sigma_min / sigma_max."""
+    full rank at the rank cut ``linalg._kept``, and the ratio
+    sigma_min / sigma_max."""
     if sv[0] == 0.0:
         return False, 0.0
-    return bool(sv[-1] > _RANK_TOL * sv[0]), float(sv[-1] / sv[0])
+    return bool(linalg._kept(sv).all()), float(sv[-1] / sv[0])
 
 
 def transform_system(system: WeightedSubspaceSystem, t) -> WeightedSubspaceSystem:

@@ -9,10 +9,12 @@ operators are
 * synthesis:  {a_i} |-> sum_i w_i a_i  (the adjoint of analysis),
 * frame operator: S = sum_i w_i^2 P_i  (symmetric PSD).
 
-A system computes S and its eigendecomposition once (``frame_operator``,
-``spectrum``).  The optimal frame bounds are the extremal eigenvalues, and
-every operator-relative quantity in ``kfusion`` derives from the same
-spectrum.
+A system computes S, its eigendecomposition and the analysis matrix
+Phi = vstack(w_i P_i) once each (``frame_operator``, ``spectrum``,
+``analysis_operator``), shared read-only.  Every block map reads its blocks
+from Phi into one m x n array, row i for member i.  The optimal frame
+bounds are the extremal eigenvalues, and every operator-relative quantity
+in ``kfusion`` derives from the same spectrum.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ import numpy as np
 from . import linalg
 from .errors import InputError
 from .subspaces import Subspace
-
-DEFAULT_VERDICT_TOL = 1e-9
-_BLOCK_TOL = 1e-9
 
 
 class Verdict(enum.Enum):
@@ -89,37 +88,42 @@ class Member:
 
 
 class CoefficientBundle:
-    """Element of the representation space: one block per member, block i
-    lying in W_i."""
+    """Element of the representation space: m blocks of R^n, block i lying
+    in W_i, held as one read-only m x n array copied from ``blocks``."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("_array",)
 
     def __init__(self, blocks):
-        blocks = tuple(linalg.as_vector(b, "bundle block") for b in blocks)
-        if not blocks:
+        if len(blocks) == 0:
             raise InputError("a bundle needs at least one block")
-        object.__setattr__(self, "blocks", blocks)
+        array = np.array(linalg.as_matrix(blocks, "bundle blocks"))
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
     def __setattr__(self, *_):
         raise AttributeError("CoefficientBundle is immutable")
 
     def __len__(self):
-        return len(self.blocks)
+        return len(self._array)
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(self._array)
 
     def norm(self) -> float:
-        return linalg.norm(self.stacked())
+        return linalg.norm(self._array)
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+        return self._array.ravel()
 
     def to_json(self) -> dict:
-        return {"blocks": [[float(x) for x in b] for b in self.blocks]}
+        return {"blocks": self._array.tolist()}
 
 
 class WeightedSubspaceSystem:
     """Finite family {(W_i, w_i)} over a common ambient space."""
 
-    __slots__ = ("ambient_dim", "members", "_frame_op", "_spectrum")
+    __slots__ = ("ambient_dim", "members", "weights", "_frame_op", "_spectrum", "_analysis_op")
 
     def __init__(self, members):
         members = tuple(members)
@@ -146,8 +150,12 @@ class WeightedSubspaceSystem:
             norm_members.append(Member(m.subspace, w, tuple(m.local_frame)))
         object.__setattr__(self, "ambient_dim", ambient)
         object.__setattr__(self, "members", tuple(norm_members))
+        weights = np.array([m.weight for m in norm_members])
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_frame_op", None)
         object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_analysis_op", None)
 
     def __setattr__(self, *_):
         raise AttributeError("WeightedSubspaceSystem is immutable")
@@ -155,51 +163,51 @@ class WeightedSubspaceSystem:
     def __len__(self):
         return len(self.members)
 
-    @property
-    def subspaces(self):
-        return tuple(m.subspace for m in self.members)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([m.weight for m in self.members])
-
     # operators -------------------------------------------------------------
 
     def analysis(self, f) -> CoefficientBundle:
         """{w_i P_i f}: block i is the weighted projection of f onto W_i."""
         f = linalg.as_vector(f, n=self.ambient_dim)
-        return CoefficientBundle(
-            [m.weight * m.subspace.project(f) for m in self.members]
-        )
+        blocks = self.analysis_operator() @ f
+        return CoefficientBundle(blocks.reshape(len(self.members), self.ambient_dim))
 
     def synthesis(self, bundle: CoefficientBundle) -> np.ndarray:
-        """sum_i w_i a_i for a bundle shaped like this system."""
+        """sum_i w_i a_i for a bundle shaped like this system, summed member
+        by member."""
+        return (self.weights[:, None] * self._bundle_array(bundle)).sum(axis=0)
+
+    def _bundle_array(self, bundle: CoefficientBundle) -> np.ndarray:
         if not isinstance(bundle, CoefficientBundle):
-            raise InputError("synthesis expects a CoefficientBundle")
-        if len(bundle) != len(self.members):
-            raise InputError(
-                f"bundle has {len(bundle)} blocks, system has {len(self.members)}"
-            )
-        out = np.zeros(self.ambient_dim)
-        for m, block in zip(self.members, bundle.blocks):
-            out += m.weight * linalg.as_vector(block, "bundle block", self.ambient_dim)
-        return out
+            raise InputError("expected a CoefficientBundle")
+        shape = (len(self.members), self.ambient_dim)
+        if bundle._array.shape != shape:
+            raise InputError(f"bundle blocks are {bundle._array.shape}, expected {shape}")
+        return bundle._array
 
     def check_bundle(self, bundle: CoefficientBundle) -> None:
-        """Validate the membership invariant a_i in W_i (relative _BLOCK_TOL)."""
-        if len(bundle) != len(self.members):
-            raise InputError("bundle shape does not match the system")
-        for i, (m, block) in enumerate(zip(self.members, bundle.blocks)):
-            block = linalg.as_vector(block, f"bundle block {i}", self.ambient_dim)
+        """Validate the membership invariant a_i in W_i, within
+        ``linalg.DEFAULT_VERDICT_TOL`` relative to the block's norm."""
+        blocks = self._bundle_array(bundle)
+        for i, (m, block) in enumerate(zip(self.members, blocks)):
             nb = np.linalg.norm(block)
             if nb == 0.0:
                 continue
             resid = float(m.subspace.residual(block))
-            if resid > _BLOCK_TOL * nb:
+            if resid > linalg.DEFAULT_VERDICT_TOL * nb:
                 raise InputError(
                     f"bundle block {i} is outside its subspace "
                     f"(relative residual {resid / nb:.3e})"
                 )
+
+    def analysis_operator(self) -> np.ndarray:
+        """The (m n) x n matrix vstack(w_i P_i) of the analysis operator, so
+        (Phi @ f).reshape(m, n) has the blocks {w_i P_i f}.  Built once from
+        the cached projections and shared read-only."""
+        if self._analysis_op is None:
+            phi = np.vstack([m.weight * m.subspace.projection() for m in self.members])
+            phi.flags.writeable = False
+            object.__setattr__(self, "_analysis_op", phi)
+        return self._analysis_op
 
     def frame_operator(self) -> np.ndarray:
         """S = sum_i w_i^2 P_i, symmetric PSD.  Raises InputError when a
@@ -226,7 +234,7 @@ class WeightedSubspaceSystem:
             object.__setattr__(self, "_spectrum", spec)
         return self._spectrum
 
-    def fusion_bounds(self, tol: float = DEFAULT_VERDICT_TOL) -> BoundsReport:
+    def fusion_bounds(self, tol: float = linalg.DEFAULT_VERDICT_TOL) -> BoundsReport:
         """Optimal bounds = extremal eigenvalues of the frame operator."""
         linalg.check_tol(tol)
         spec = self.spectrum()

@@ -21,11 +21,13 @@ forms its quantities from K scaled by a power of two (with A scaled to
 match), so its margins do not depend on the scale of K.
 
 What depends on (S, K) alone is computed once per pair and kept in the
-spectrum's bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape,
-its float64 bytes and ``tol``: the verification report, the coefficient
-map ``gamma`` of ``atomic_decompose``, and the chain check's ||K+|| and
-lambda_min(S - A K K.T).  A K changed in place is a new key; the cached
-arrays are read-only.
+spectrum's bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape
+and its float64 bytes: the range defect, the verified report, the
+coefficient map ``gamma`` of ``atomic_decompose``, and the chain check's
+||K+|| and lambda_min(S - A K K.T).  ``tol`` only decides whether the
+defect refutes, so a second ``tol`` factors nothing again.  A K changed in
+place is a new key; the cached arrays are read-only.  Coefficient blocks
+come from the system's analysis matrix Phi (``analysis_operator``).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .generator import Rng
 DEFAULT_TOL = 1e-8
 
 
-def douglas_factor(u, v, tol: float = 1e-9) -> np.ndarray:
+def douglas_factor(u, v, tol: float = linalg.DEFAULT_VERDICT_TOL) -> np.ndarray:
     """Minimal-norm T with u = v @ T, when the column space of u lies in
     the column space of v.
 
@@ -121,28 +123,30 @@ def _range_defect(null_basis: np.ndarray, k_hat: np.ndarray) -> float:
     return float(np.linalg.norm(null_basis.T @ k_hat) / k_norm) if k_norm else 0.0
 
 
-def _memoized(spec: linalg.Spectrum, name: str, k: np.ndarray, tol: float, compute):
-    """``compute()`` once per (name, K, tol) in the spectrum's memo, K keyed
-    by its shape and float64 bytes."""
-    return spec.memoized((name, k.shape, k.tobytes(), tol), compute)
+def _memoized(spec: linalg.Spectrum, name: str, k: np.ndarray, compute):
+    """``compute()`` once per (name, K) in the spectrum's memo, K keyed by
+    its shape and float64 bytes."""
+    return spec.memoized((name, k.shape, k.tobytes()), compute)
 
 
 def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) -> KFusionReport:
     """Shared verification core: decide A ||K.T f||^2 <= <S f, f> for the PSD
     operator S with eigendecomposition ``spec`` and report optimal constants.
-    K is scaled by a power of two, so no product overflows.  The report is
-    memoized per (K, tol) on ``spec``; its ``factor_t`` is read-only."""
+    K is scaled by a power of two, so no product overflows.  The range
+    defect and the verified report are memoized per K on ``spec``; the
+    report's ``factor_t`` is read-only."""
     k = linalg.as_operator(k, spec.eigenvalues.shape[0], "operator K")
     linalg.check_tol(tol)
-    return _memoized(spec, "report", k, tol, lambda: _verify(spec, k, tol))
+    residual = _memoized(spec, "range_defect", k, lambda: _range_defect(
+        spec.null_basis(), linalg.unit_scaled(k)[0]))
+    if residual > tol:
+        return KFusionReport(False, 0.0, max(spec.largest, 0.0), None, residual)
+    return _memoized(spec, "verified", k, lambda: _verified(spec, k, residual))
 
 
-def _verify(spec: linalg.Spectrum, k: np.ndarray, tol: float) -> KFusionReport:
+def _verified(spec: linalg.Spectrum, k: np.ndarray, residual: float) -> KFusionReport:
     upper = max(spec.largest, 0.0)
     k_hat, e = linalg.unit_scaled(k)
-    residual = _range_defect(spec.null_basis(), k_hat)
-    if residual > tol:
-        return KFusionReport(False, 0.0, upper, None, residual)
     factor = spec.power(-0.5) @ k_hat
     lower = _lower_bound(linalg.operator_norm(factor), e)
     factor_t = np.ldexp(factor, e)
@@ -178,9 +182,9 @@ def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_T
 class AtomicDecomposition:
     """Blockwise coefficient operator and the decomposition of one vector.
 
-    ``gamma`` maps f to stacked blocks with K f = synthesis(blocks); it is
-    computed once per (system, K, tol) and shared read-only.  ``constant``
-    is its operator norm, the uniform constant bounding
+    ``gamma`` maps f to the stacked blocks ``bundle.stacked()`` with
+    K f = synthesis(blocks); it is computed once per (system, K) and shared
+    read-only.  ``constant`` is its operator norm, the uniform constant bounding
     ||blocks|| <= constant * ||f||.
     """
 
@@ -199,12 +203,13 @@ def atomic_decompose(
     the operator norm of the coefficient map times ||f||.
 
     The coefficients are the canonical dual ones, a_i = w_i P_i S^+ K f:
-    the analysis operator applied to S^+ K f.  They are the minimal-norm
+    the blocks of gamma f, gamma = Phi S^+ K.  They are the minimal-norm
     solution (the coefficient map is T+ K for the synthesis operator T,
     and T+ = T.T S^+ because T T.T = S), each block lies in its W_i, and
     the map's norm is sigma_max(S^(+1/2) K) = A^(-1/2).  Raises
     PreconditionError when the system is refuted for ``k`` at ``tol`` (no
-    uniform constant can exist then).
+    uniform constant can exist then), and InputError when K f or its
+    coefficients are beyond the float range.
     """
     f = linalg.as_vector(f, n=system.ambient_dim)
     k = linalg.as_operator(k, system.ambient_dim, "operator K")
@@ -216,15 +221,15 @@ def atomic_decompose(
             "with a uniform constant exists"
         )
     spec = system.spectrum()
-    s_pinv = spec.pinv()
+    gamma = _memoized(spec, "gamma", k, lambda: system.analysis_operator() @ (spec.pinv() @ k))
     with np.errstate(over="ignore", invalid="ignore"):
-        g = s_pinv @ (k @ f)
-    if not np.isfinite(g).all():
-        raise InputError("K f or S+ K f is beyond the float range")
-    gamma = _memoized(spec, "gamma", k, tol, lambda: np.vstack(
-        [m.weight * m.subspace.projection() for m in system.members]) @ (s_pinv @ k))
+        kf = k @ f
+        blocks = gamma @ f
+    if not (np.isfinite(kf).all() and np.isfinite(blocks).all()):
+        raise InputError("K f or its coefficients gamma f are beyond the float range")
     constant = 0.0 if math.isinf(report.optimal_lower) else 1.0 / math.sqrt(report.optimal_lower)
-    return AtomicDecomposition(gamma, system.analysis(g), constant)
+    bundle = CoefficientBundle(blocks.reshape(len(system), system.ambient_dim))
+    return AtomicDecomposition(gamma, bundle, constant)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +302,13 @@ def frame_operator_chain_check(
     scale = max(b, 1e-300)
 
     # part 1: PSD chain; the smallest eigenvalue of B I - S is B - lambda_max
-    m1 = _memoized(spec, "chain_lambda_min", k, tol,
+    m1 = _memoized(spec, "chain_lambda_min", k,
                    lambda: linalg.sym_eig(s - a_hat * (k_hat @ k_hat.T)).smallest) / scale
     margin1 = min(m1, (b - spec.largest) / scale)
     parts = {"psd_chain": PartResult(margin1 >= -tol, margin1)}
 
     # ||K^+||: the singular values of K, scaled exactly to those of K^
-    kp_norm = _memoized(spec, "k_hat_pinv_norm", k, tol, lambda: linalg._pinv_norm(
+    kp_norm = _memoized(spec, "k_hat_pinv_norm", k, lambda: linalg._pinv_norm(
         np.ldexp(linalg.singular_values(k), -e)))
 
     # parts 2 and 3 over all trials at once: row i of f is K^ x_i
@@ -360,36 +365,36 @@ class SelfAtomicReport:
 def frame_operator_atomic_check(
     system: WeightedSubspaceSystem,
     vectors=None,
-    tol: float = 1e-9,
+    tol: float = linalg.DEFAULT_VERDICT_TOL,
     trials: int = 100,
     seed: int = 7,
 ) -> SelfAtomicReport:
     """Every system is an atomic system for its own frame operator: the
     explicit witness a_i = w_i P_i f reconstructs S f with bundle norm at
     most sqrt(B) ||f||.  Checks both conditions over the supplied vectors
-    (or a seeded sample) and reports worst relative margins.
+    (or a seeded sample plus the standard basis), all at once as the rows
+    of one matrix, and reports worst relative margins.
     """
     linalg.check_tol(tol)
+    n = system.ambient_dim
     s = system.frame_operator()
-    b = max(system.spectrum().largest, 0.0)
-    c = math.sqrt(b)
+    c = math.sqrt(max(system.spectrum().largest, 0.0))
     if vectors is None:
-        vectors = list(Rng(seed).normals(trials, system.ambient_dim))
-        vectors.extend(np.eye(system.ambient_dim).T)
-    worst_rec = 0.0
-    worst_margin = math.inf
-    for f in vectors:
-        f = linalg.as_vector(f, n=system.ambient_dim)
-        bundle = system.analysis(f)
-        rec = system.synthesis(bundle)
-        target = s @ f
-        scale = max(np.linalg.norm(target), np.linalg.norm(s) * np.linalg.norm(f), 1e-300)
-        worst_rec = max(worst_rec, float(np.linalg.norm(rec - target) / scale))
-        nf = np.linalg.norm(f)
-        if nf > 0:
-            worst_margin = min(
-                worst_margin, (c * nf - bundle.norm()) / max(c * nf, 1e-300)
-            )
+        f = np.vstack([Rng(seed).normals(trials, n), np.eye(n)])
+    else:
+        f = linalg.as_matrix(vectors, "vectors") if len(vectors) else np.zeros((0, n))
+        if f.shape[1] != n:
+            raise InputError(f"vectors have dimension {f.shape[1]}, expected {n}")
+    blocks = (f @ system.analysis_operator().T).reshape(len(f), len(system), n)
+    rec = (system.weights[:, None] * blocks).sum(axis=1)  # row j: sum_i w_i a_i of f_j
+    target = f @ s  # S is symmetric
+    nf = linalg.axis_norms(f, 1)
+    scale = np.maximum(np.maximum(linalg.axis_norms(target, 1), np.linalg.norm(s) * nf), 1e-300)
+    worst_rec = float(np.max(linalg.axis_norms(rec - target, 1) / scale, initial=0.0))
+    live = nf > 0
+    cnf = c * nf[live]
+    nb = linalg.axis_norms(blocks[live].reshape(len(cnf), len(system) * n), 1)
+    worst_margin = float(np.min((cnf - nb) / np.maximum(cnf, 1e-300), initial=math.inf))
     if not math.isfinite(worst_margin):
         worst_margin = 0.0
     ok = worst_rec <= tol and worst_margin >= -tol

@@ -24,7 +24,8 @@ Input validation is written once here, one function per kind of input,
 and raises InputError: ``as_matrix``, ``as_operator`` (a finite n x n
 matrix, for every public entry that takes K or T, and for any square
 input), ``as_vector`` (with an optional length) and ``check_tol`` (a verdict
-tolerance, finite and > 0).
+tolerance, finite and > 0, by default DEFAULT_VERDICT_TOL where the default
+is not ``kfusion.DEFAULT_TOL``).
 
 All functions are pure: arguments are never mutated and results are fresh
 arrays, safe to share across threads.  The one exception is a
@@ -89,6 +90,9 @@ def as_vector(obj, name: str = "vector", n: int | None = None) -> np.ndarray:
     if n is not None and v.shape[0] != n:
         raise InputError(f"{name} has dimension {v.shape[0]}, expected {n}")
     return v
+
+
+DEFAULT_VERDICT_TOL = 1e-9
 
 
 def check_tol(value) -> None:

@@ -101,7 +101,7 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         return Subspace.from_spanning(t @ self.basis)
 
-    def contains(self, other: "Subspace", tol: float = 1e-9) -> bool:
+    def contains(self, other: "Subspace", tol: float = linalg.DEFAULT_VERDICT_TOL) -> bool:
         """True iff every basis vector of ``other`` lies in this subspace
         within ``tol`` (column-wise ``residual``)."""
         linalg.check_tol(tol)

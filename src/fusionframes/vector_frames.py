@@ -17,12 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .fusion_systems import (
-    BoundsReport,
-    DEFAULT_VERDICT_TOL,
-    WeightedSubspaceSystem,
-    classify_bounds,
-)
+from .fusion_systems import BoundsReport, WeightedSubspaceSystem, classify_bounds
 from .kfusion import DEFAULT_TOL, KFusionReport, verify_operator_bound
 
 
@@ -63,7 +58,8 @@ class VectorFrame:
         }
 
 
-def vector_frame_bounds(frame: VectorFrame, tol: float = DEFAULT_VERDICT_TOL) -> BoundsReport:
+def vector_frame_bounds(frame: VectorFrame,
+                        tol: float = linalg.DEFAULT_VERDICT_TOL) -> BoundsReport:
     """Optimal bounds = extremal eigenvalues of sum f_i f_i.T."""
     linalg.check_tol(tol)
     spec = linalg.sym_eig(frame.frame_operator())
@@ -120,7 +116,7 @@ class LocalGlobalReport:
 
 
 def local_to_global_check(
-    system: WeightedSubspaceSystem, tol: float = 1e-9
+    system: WeightedSubspaceSystem, tol: float = linalg.DEFAULT_VERDICT_TOL
 ) -> LocalGlobalReport:
     """Assemble {w_i f_ij} from the members' local frames and compare it
     with the fusion system.
@@ -168,32 +164,13 @@ def local_to_global_check(
     global_frame = VectorFrame(system.ambient_dim, global_vectors)
     global_bounds = vector_frame_bounds(global_frame, tol)
     local_failure = c <= tol * max(d, 1.0)
-    if local_failure:
-        return LocalGlobalReport(
-            tuple(local_lower),
-            tuple(local_upper),
-            c,
-            d,
-            fusion,
-            global_bounds,
-            True,
-            None,
-            None,
+    equivalent = interval_ok = None  # a local failure makes the comparison vacuous
+    if not local_failure:
+        equivalent = fusion.verdict.is_frame() == global_bounds.verdict.is_frame()
+        slack = tol * max(1.0, fusion.upper * d)
+        interval_ok = (
+            global_bounds.lower >= fusion.lower * c - slack
+            and global_bounds.upper <= fusion.upper * d + slack
         )
-    equivalent = fusion.verdict.is_frame() == global_bounds.verdict.is_frame()
-    slack = tol * max(1.0, fusion.upper * d)
-    interval_ok = (
-        global_bounds.lower >= fusion.lower * c - slack
-        and global_bounds.upper <= fusion.upper * d + slack
-    )
-    return LocalGlobalReport(
-        tuple(local_lower),
-        tuple(local_upper),
-        c,
-        d,
-        fusion,
-        global_bounds,
-        False,
-        equivalent,
-        interval_ok,
-    )
+    return LocalGlobalReport(tuple(local_lower), tuple(local_upper), c, d, fusion,
+                             global_bounds, local_failure, equivalent, interval_ok)

@@ -164,6 +164,22 @@ def test_surjectivity_sweeps():
         assert rep.consistent is not False
 
 
+@pytest.mark.parametrize("ratio", [5e-9, 1e-9, 3e-10, 1.5e-10])
+def test_surjectivity_is_decided_at_the_rank_cut(ratio):
+    # sigma_min / sigma_max = ratio is kept by the 1e-10 cut that forms the
+    # image subspaces, so T(R^n) = R^n verifies and T counts as surjective.
+    rng = Rng(47)
+    for _ in range(40):
+        for n in (3, 4, 6):
+            sv = np.append(np.linspace(1.0, 0.3, n - 1), ratio)
+            t = random_orthogonal(rng, n) @ np.diag(sv) @ random_orthogonal(rng, n)
+            full = WeightedSubspaceSystem([(Subspace.full(n), 1.0)])
+            rep = surjectivity_consistency_check(full, np.eye(n), t)
+            assert rep.verified and rep.consistent, (n, rep.to_json())
+            assert rep.details["surjective"]
+            assert rep.sigma_min_ratio == pytest.approx(ratio, rel=1e-6)
+
+
 def test_invertibility_check_orthogonal():
     rep = invertibility_consistency_check(coordinate_lines(2), np.eye(2), SWAP)
     assert rep.branch == "both-verified"

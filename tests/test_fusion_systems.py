@@ -235,3 +235,52 @@ def test_spectrum_is_cached_and_read_only():
         spec.eigenvalues[0] = 0.0
     with pytest.raises(ValueError):
         spec.eigenvectors[0, 0] = 0.0
+
+
+def _analysis_cases():
+    rng = Rng(53)
+    systems = [generate(GenSpec(seed=rng.u64(), ambient_dim=rng.randint(2, 9),
+                                member_count=rng.randint(1, 5)))[0] for _ in range(20)]
+    systems.append(WeightedSubspaceSystem([Member(Subspace.zero(3), 2.0),
+                                           Member(Subspace.span([1.0, 2.0, 0.0]), 0.5)]))
+    systems.append(WeightedSubspaceSystem([Member(Subspace.full(1), 3.0),
+                                           Member(Subspace.zero(1), 1.0)]))
+    return [(system, rng.normals(system.ambient_dim)) for system in systems]
+
+
+def test_analysis_matches_the_per_member_formula():
+    for system, f in _analysis_cases():
+        bundle = system.analysis(f)
+        bound = 1e-13 * np.linalg.norm(f) * system.weights.max()
+        assert len(bundle) == len(system)
+        for m, block in zip(system.members, bundle.blocks):
+            u = m.subspace.basis
+            np.testing.assert_allclose(block, m.weight * (u @ (u.T @ f)), rtol=0, atol=bound)
+
+
+def test_analysis_operator_is_cached_and_read_only():
+    system, _ = _analysis_cases()[0]
+    phi = system.analysis_operator()
+    assert phi is system.analysis_operator()
+    assert phi.shape == (len(system) * system.ambient_dim, system.ambient_dim)
+    for value in (phi, system.weights):
+        with pytest.raises(ValueError):
+            value[0] = 0.0
+
+
+@pytest.mark.parametrize("blocks", [[[1.0, 0.0], [1.0]], [[np.nan, 0.0]], []],
+                         ids=["ragged", "nan", "empty"])
+def test_bundle_input_is_validated(blocks):
+    with pytest.raises(InputError):
+        CoefficientBundle(blocks)
+
+
+def test_bundles_are_read_only():
+    user = np.array([[1.0, 0.0], [0.0, 2.0]])
+    bundles = [CoefficientBundle(user), coordinate_lines(2).analysis([3.0, 4.0])]
+    for bundle in bundles:
+        for view in (bundle.blocks[0], bundle.stacked()):
+            with pytest.raises(ValueError):
+                view[0] = 5.0
+    user[0, 0] = 7.0  # the bundle holds its own copy
+    assert bundles[0].blocks[0][0] == 1.0

@@ -249,6 +249,56 @@ def test_self_atomic_random_systems():
         assert rep.ok
 
 
+def _self_atomic_reference(system, vectors):
+    """The per-vector loop: a_i = w_i U_i (U_i.T f), their weighted sum
+    against S f, and the bundle norm against sqrt(B) ||f||."""
+    s = system.frame_operator()
+    c = math.sqrt(max(np.linalg.eigvalsh(s)[-1], 0.0))
+    worst_rec, worst_margin = 0.0, math.inf
+    for f in vectors:
+        blocks = [m.weight * (m.subspace.basis @ (m.subspace.basis.T @ f)) for m in system.members]
+        rec = sum(m.weight * a for m, a in zip(system.members, blocks))
+        target = s @ f
+        scale = max(np.linalg.norm(target), np.linalg.norm(s) * np.linalg.norm(f), 1e-300)
+        worst_rec = max(worst_rec, float(np.linalg.norm(rec - target) / scale))
+        nf = np.linalg.norm(f)
+        if nf > 0:
+            nb = np.linalg.norm(np.concatenate(blocks))
+            worst_margin = min(worst_margin, (c * nf - nb) / max(c * nf, 1e-300))
+    return worst_rec, worst_margin if math.isfinite(worst_margin) else 0.0
+
+
+def test_self_atomic_check_matches_the_per_vector_loop():
+    rng = Rng(61)
+    for _ in range(30):
+        system, _ = generate(
+            GenSpec(seed=rng.u64(), ambient_dim=rng.randint(2, 10), member_count=rng.randint(1, 6))
+        )
+        seed = rng.randint(0, 2 ** 31)
+        rep = frame_operator_atomic_check(system, trials=40, seed=seed)
+        n = system.ambient_dim
+        vectors = np.vstack([Rng(seed).normals(40, n), np.eye(n)])
+        worst_rec, worst_margin = _self_atomic_reference(system, vectors)
+        assert rep.worst_reconstruction == pytest.approx(worst_rec, rel=0, abs=1e-15)
+        assert rep.worst_norm_margin == pytest.approx(worst_margin, rel=0, abs=1e-12)
+        given = frame_operator_atomic_check(system, vectors=list(vectors[:5]) + [np.zeros(n)])
+        worst_rec, worst_margin = _self_atomic_reference(system, vectors[:5])
+        assert given.worst_reconstruction == pytest.approx(worst_rec, rel=0, abs=1e-15)
+        assert given.worst_norm_margin == pytest.approx(worst_margin, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("vectors", [[[1.0, 0.0, 0.0]], [[1.0, np.nan]], [[1.0, 0.0], [1.0]]],
+                         ids=["dimension", "nan", "ragged"])
+def test_self_atomic_vectors_are_validated(vectors):
+    with pytest.raises(InputError):
+        frame_operator_atomic_check(coordinate_lines(2), vectors=vectors)
+
+
+def test_self_atomic_check_of_no_vectors_is_ok():
+    rep = frame_operator_atomic_check(coordinate_lines(2), vectors=[])
+    assert rep.ok and rep.worst_reconstruction == 0.0 and rep.worst_norm_margin == 0.0
+
+
 def test_range_transfer_inherits():
     rng = Rng(30)
     for _ in range(10):
@@ -295,9 +345,7 @@ def test_decomposition_blocks_are_the_minimal_norm_coefficients():
             best = minimal_norm_coefficients(synthesis, k @ f)
             scale = max(np.linalg.norm(best), 1e-300)
             assert np.linalg.norm(dec.bundle.stacked() - best) <= 1e-9 * scale
-            np.testing.assert_allclose(
-                dec.gamma @ f, dec.bundle.stacked(), rtol=0, atol=1e-12 * scale
-            )
+            np.testing.assert_array_equal(dec.gamma @ f, dec.bundle.stacked())
         sigma = np.linalg.svd(dec.gamma, compute_uv=False)[0]
         assert dec.constant == pytest.approx(sigma, rel=1e-9)
 
@@ -500,7 +548,9 @@ def test_each_tol_has_its_own_entry():
     strict = kfusion_verify(system, k)
     loose = kfusion_verify(system, k, tol=1e-6)
     assert not strict.is_kff and loose.is_kff
-    assert kfusion_verify(system, k) is strict and kfusion_verify(system, k, tol=1e-6) is loose
+    # The range defect and the verified report are memoized per K; a
+    # refuted report is rebuilt from the memoized defect.
+    assert kfusion_verify(system, k) == strict and kfusion_verify(system, k, tol=1e-6) is loose
     with pytest.raises(PreconditionError):
         atomic_decompose(system, k, np.array([1.0, 1.0]))
     atomic_decompose(system, k, np.array([1.0, 1.0]), tol=1e-6)
@@ -645,3 +695,48 @@ def test_chain_check_with_k_k_transpose_beyond_the_float_range():
     assert kfusion_verify(system, k).optimal_lower == pytest.approx(1e-300)
     rep = frame_operator_chain_check(system, k)
     assert rep.all_ok and rep.branch == "inverse"
+
+
+def test_second_tol_on_a_pair_factors_nothing_again(monkeypatch):
+    system, k = _verified_pair(49)
+    f = np.ones(system.ambient_dim)
+    first = frame_operator_chain_check(system, k, tol=1e-8)
+    atomic_decompose(system, k, f, tol=1e-8)
+    calls = []
+    svd, sym_eig = linalg.svd, linalg.sym_eig
+
+    def counted_svd(m):
+        calls.append("svd")
+        return svd(m)
+
+    def counted_eig(m):
+        calls.append("sym_eig")
+        return sym_eig(m)
+
+    monkeypatch.setattr(linalg, "svd", counted_svd)
+    monkeypatch.setattr(linalg, "sym_eig", counted_eig)
+    again = frame_operator_chain_check(system, k, tol=1e-6)
+    atomic_decompose(system, k, f, tol=1e-6)
+    assert calls == []
+    assert kfusion_verify(system, k, 1e-6) is kfusion_verify(system, k, 1e-8)
+    assert {p: v.margin for p, v in again.parts.items()} == \
+        {p: v.margin for p, v in first.parts.items()}
+
+
+def test_one_vector_validation_per_decomposition(monkeypatch):
+    system, k = _generated_pair(9, 12, 4)
+    k = np.asarray(k, float)
+    rng = Rng(10)
+    vectors = [rng.normals(system.ambient_dim) for _ in range(50)]
+    atomic_decompose(system, k, vectors[0])
+    calls = []
+    as_vector = linalg.as_vector
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:] + tuple(kwargs.values()))
+        return as_vector(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "as_vector", counted)
+    for f in vectors:
+        atomic_decompose(system, k, f)
+    assert len(calls) == len(vectors), calls[:12]
