@@ -87,6 +87,11 @@ class Member:
     local_frame: tuple = ()  # tuple of ambient vectors inside the subspace
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise InputError(f"{what} beyond the float range")
+
+
 class CoefficientBundle:
     """Element of the representation space: m blocks of R^n, block i lying
     in W_i, held as one read-only m x n array copied from ``blocks``."""
@@ -168,13 +173,18 @@ class WeightedSubspaceSystem:
     def analysis(self, f) -> CoefficientBundle:
         """{w_i P_i f}: block i is the weighted projection of f onto W_i."""
         f = linalg.as_vector(f, n=self.ambient_dim)
-        blocks = self.analysis_operator() @ f
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = self.analysis_operator() @ f
+        _check_finite(blocks, "the blocks w_i P_i f are")
         return CoefficientBundle(blocks.reshape(len(self.members), self.ambient_dim))
 
     def synthesis(self, bundle: CoefficientBundle) -> np.ndarray:
         """sum_i w_i a_i for a bundle shaped like this system, summed member
-        by member."""
-        return (self.weights[:, None] * self._bundle_array(bundle)).sum(axis=0)
+        by member.  Raises InputError when the sum is beyond the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (self.weights[:, None] * self._bundle_array(bundle)).sum(axis=0)
+        _check_finite(out, "the synthesis sum_i w_i a_i is")
+        return out
 
     def _bundle_array(self, bundle: CoefficientBundle) -> np.ndarray:
         if not isinstance(bundle, CoefficientBundle):
@@ -211,7 +221,7 @@ class WeightedSubspaceSystem:
 
     def frame_operator(self) -> np.ndarray:
         """S = sum_i w_i^2 P_i, symmetric PSD.  Raises InputError when a
-        squared weight is not a finite float."""
+        squared weight is not a finite float, or S is beyond the float range."""
         if self._frame_op is None:
             s = np.zeros((self.ambient_dim, self.ambient_dim))
             for i, m in enumerate(self.members):
@@ -220,8 +230,10 @@ class WeightedSubspaceSystem:
                     raise InputError(
                         f"member {i}: weight {m.weight} has no finite square"
                     )
-                s += w2 * m.subspace.projection()
-            object.__setattr__(self, "_frame_op", 0.5 * (s + s.T))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    s += w2 * m.subspace.projection()
+            _check_finite(s, "the frame operator sum_i w_i^2 P_i is")
+            object.__setattr__(self, "_frame_op", 0.5 * s + 0.5 * s.T)  # no s + s.T overflows
         return self._frame_op
 
     def spectrum(self) -> linalg.Spectrum:

@@ -47,6 +47,11 @@ Derived values:
   output starting from z = seed + i * 0x9E3779B97F4A7C15 (all modulo
   2^64); substreams are independent streams for parallel trials.
 
+A fixed sample of ``trials`` vectors in R^n, the first ``trials * n``
+normals of ``Rng(seed)``, is a pure function of (seed, trials, n);
+``normal_block`` draws it once and keeps it, read-only, in a cache of the
+_BLOCK_CACHE_SIZE most recently used blocks.
+
 Instance recipes (see ``generate``) consume draws in a fixed documented
 order, so flavors are reproducible across versions and languages.
 """
@@ -54,6 +59,7 @@ order, so flavors are reproducible across versions and languages.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +72,12 @@ from .subspaces import Subspace
 
 _U64_MAX = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK_CACHE_SIZE = 32  # sample blocks kept by normal_block; the least recently used goes first
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
+        raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 class Rng:
@@ -74,10 +86,7 @@ class Rng:
     __slots__ = ("seed", "_state", "_have_spare", "_spare")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool) or not (
-            0 <= seed <= _U64_MAX
-        ):
-            raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        _check_seed(seed)
         self.seed = seed
         z = seed
         while True:
@@ -120,6 +129,29 @@ class Rng:
         return Rng(out)
 
 
+def normal_block(seed: int, trials: int, n: int) -> np.ndarray:
+    """The sample of ``trials`` vectors in R^n, ``Rng(seed).normals(trials,
+    n)`` bit for bit, drawn once per (seed, trials, n) and shared read-only.
+
+    The arguments are checked before the cache is read: the seed as by
+    ``Rng``, ``trials`` and ``n`` as non-negative ``int``s (a bool is not
+    one), so no key that merely compares equal, such as True for 1, reaches
+    the cache.  Raises InputError otherwise.
+    """
+    _check_seed(seed)
+    for name, value in (("trials", trials), ("n", n)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise InputError(f"{name} must be a non-negative integer, got {value!r}")
+    return _cached_block(int(seed), int(trials), int(n))
+
+
+@functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _cached_block(seed: int, trials: int, n: int) -> np.ndarray:
+    block = Rng(seed).normals(trials, n)
+    block.flags.writeable = False
+    return block
+
+
 class Flavor(enum.Enum):
     """What the generated instance guarantees.
 
@@ -155,10 +187,7 @@ class GenSpec:
         return (1, max(1, self.ambient_dim // 2))
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
-            0 <= self.seed <= _U64_MAX
-        ):
-            raise InputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        _check_seed(self.seed)
         n = self.ambient_dim
         if not isinstance(n, int) or n < 2:
             raise InputError(f"ambient_dim must be an integer >= 2, got {n!r}")

@@ -17,17 +17,24 @@ from that same report, so it is None exactly when the pair verifies.
 Every public entry validates K (and T) with ``linalg.as_operator`` and
 ``tol`` with ``linalg.check_tol`` (finite and > 0), directly or through
 ``kfusion_verify``; malformed input raises InputError.  The chain check
-forms its quantities from K scaled by a power of two (with A scaled to
-match), so its margins do not depend on the scale of K.
+forms its quantities from K, S and S^+, each scaled by a power of two (with
+A, B and the row filter scaled to match), so its margins do not depend on
+the scale of K and no row norm over- or underflows.
+
+The two sampled checks, ``frame_operator_chain_check`` and
+``frame_operator_atomic_check``, draw their fixed sample of ``trials``
+vectors through ``generator.normal_block``: once per (seed, trials, n) in
+the process, read-only, after ``seed`` and ``trials`` are checked.
 
 What depends on (S, K) alone is computed once per pair and kept in the
 spectrum's bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape
 and its float64 bytes: the range defect, the verified report, the
 coefficient map ``gamma`` of ``atomic_decompose``, and the chain check's
-||K+|| and lambda_min(S - A K K.T).  ``tol`` only decides whether the
-defect refutes, so a second ``tol`` factors nothing again.  A K changed in
-place is a new key; the cached arrays are read-only.  Coefficient blocks
-come from the system's analysis matrix Phi (``analysis_operator``).
+||K+|| and lambda_min(S - A K K.T); per spectrum, the chain check's scaled
+S and S^+.  ``tol`` only decides whether the defect refutes, so a second
+``tol`` factors nothing again.  A K changed in place is a new key; the
+cached arrays are read-only.  Coefficient blocks come from the system's
+analysis matrix Phi (``analysis_operator``).
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 from . import linalg
 from .errors import InputError, PreconditionError, RangeInclusionError
 from .fusion_systems import CoefficientBundle, WeightedSubspaceSystem
-from .generator import Rng
+from .generator import normal_block
 
 DEFAULT_TOL = 1e-8
 
@@ -129,6 +136,17 @@ def _memoized(spec: linalg.Spectrum, name: str, k: np.ndarray, compute):
     return spec.memoized((name, k.shape, k.tobytes()), compute)
 
 
+def _memoized_unit_scaled(spec: linalg.Spectrum, name: str,
+                          matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """``linalg.unit_scaled(matrix)`` once per spectrum under ``name`` (a
+    matrix derived from S alone), the scaled matrix read-only."""
+    def compute():
+        scaled, e = linalg.unit_scaled(matrix)
+        scaled.flags.writeable = False
+        return scaled, e
+    return spec.memoized(name, compute)
+
+
 def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) -> KFusionReport:
     """Shared verification core: decide A ||K.T f||^2 <= <S f, f> for the PSD
     operator S with eigendecomposition ``spec`` and report optimal constants.
@@ -137,6 +155,11 @@ def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) ->
     report's ``factor_t`` is read-only."""
     k = linalg.as_operator(k, spec.eigenvalues.shape[0], "operator K")
     linalg.check_tol(tol)
+    return _verify_checked(spec, k, tol)
+
+
+def _verify_checked(spec: linalg.Spectrum, k: np.ndarray, tol: float) -> KFusionReport:
+    """``verify_operator_bound`` for a K and ``tol`` already validated."""
     residual = _memoized(spec, "range_defect", k, lambda: _range_defect(
         spec.null_basis(), linalg.unit_scaled(k)[0]))
     if residual > tol:
@@ -286,8 +309,12 @@ def frame_operator_chain_check(
     Margins are worst cases over ``trials`` sampled range vectors,
     normalized by the upper bound.
     """
-    k = linalg.as_operator(k, system.ambient_dim, "operator K")
-    report = kfusion_verify(system, k, tol)
+    n = system.ambient_dim
+    k = linalg.as_operator(k, n, "operator K")
+    linalg.check_tol(tol)
+    x = normal_block(seed, trials, n)
+    spec = system.spectrum()
+    report = _verify_checked(spec, k, tol)
     if not report.is_kff:
         raise PreconditionError("system is refuted for this operator")
     a, b = report.optimal_lower, report.optimal_upper
@@ -297,8 +324,6 @@ def frame_operator_chain_check(
     k_hat, e = linalg.unit_scaled(k)
     a_hat = math.ldexp(a, 2 * e) if math.isfinite(a) else 0.0
     s = system.frame_operator()
-    spec = system.spectrum()
-    n = system.ambient_dim
     scale = max(b, 1e-300)
 
     # part 1: PSD chain; the smallest eigenvalue of B I - S is B - lambda_max
@@ -311,25 +336,32 @@ def frame_operator_chain_check(
     kp_norm = _memoized(spec, "k_hat_pinv_norm", k, lambda: linalg._pinv_norm(
         np.ldexp(linalg.singular_values(k), -e)))
 
-    # parts 2 and 3 over all trials at once: row i of f is K^ x_i
-    x = Rng(seed).normals(trials, n)
+    # parts 2 and 3 over all trials at once: row i of f is K^ x_i.  S and S+
+    # enter as S^ = S 2^-d and P^ = S+ 2^-q, each largest entry in [0.5, 1),
+    # so the rows of f S^ = (S f) 2^-d and f S^ P^ = (S+ S f) 2^-(d+q) keep
+    # the size of f and plain row norms neither over- nor underflow; every
+    # bound they meet is scaled by the same power of two, exactly.
+    s_hat, d = _memoized_unit_scaled(spec, "unit_scaled_s", s)
+    p_hat, q = _memoized_unit_scaled(spec, "unit_scaled_pinv", spec.pinv())
     f = x @ k_hat.T
     nf = np.linalg.norm(f, axis=1)  # entries of K^ below 1: no kept row over- or underflows
     live = nf > 1e-12 * np.maximum(np.linalg.norm(x, axis=1), 1.0)
     f, nf = f[live], nf[live]
-    sf = f @ s  # S is symmetric
-    nsf = linalg.axis_norms(sf, 1)
+    sf = f @ s_hat  # S is symmetric
+    nsf = np.linalg.norm(sf, axis=1)
     margin2 = margin3 = math.inf
     if nf.size:
-        lo = a_hat / kp_norm ** 2
-        margin2 = float(np.min(np.minimum(nsf - lo * nf, b * nf - nsf) / (scale * nf)))
-    live = nsf > 1e-300  # the rows of sf are elements of S(range K)
+        lo = math.ldexp(a_hat / kp_norm ** 2, -d)
+        margin2 = float(np.min(np.minimum(nsf - lo * nf, math.ldexp(b, -d) * nf - nsf)
+                               / (math.ldexp(scale, -d) * nf)))
+    live = nsf > math.ldexp(1e-300, -d)  # the rows of sf are elements of S(range K)
     sf, nsf = sf[live], nsf[live]
     if nsf.size:
-        nsig = linalg.axis_norms(sf @ spec.pinv(), 1)
-        margin3 = float(np.min(nsig * b / nsf - 1.0))
+        nsig = np.linalg.norm(sf @ p_hat, axis=1)
+        margin3 = float(np.min(nsig * math.ldexp(b, q) / nsf - 1.0))
         if a_hat > 0:
-            margin3 = min(margin3, float(np.min(1.0 - nsig * a_hat / (kp_norm ** 2 * nsf))))
+            margin3 = min(margin3, float(np.min(
+                1.0 - nsig * math.ldexp(a_hat, q) / (kp_norm ** 2 * nsf))))
     if not math.isfinite(margin2):
         margin2 = 0.0  # zero operator: nothing to sample
     if not math.isfinite(margin3):
@@ -380,7 +412,7 @@ def frame_operator_atomic_check(
     s = system.frame_operator()
     c = math.sqrt(max(system.spectrum().largest, 0.0))
     if vectors is None:
-        f = np.vstack([Rng(seed).normals(trials, n), np.eye(n)])
+        f = np.vstack([normal_block(seed, trials, n), np.eye(n)])
     else:
         f = linalg.as_matrix(vectors, "vectors") if len(vectors) else np.zeros((0, n))
         if f.shape[1] != n:
@@ -389,7 +421,7 @@ def frame_operator_atomic_check(
     rec = (system.weights[:, None] * blocks).sum(axis=1)  # row j: sum_i w_i a_i of f_j
     target = f @ s  # S is symmetric
     nf = linalg.axis_norms(f, 1)
-    scale = np.maximum(np.maximum(linalg.axis_norms(target, 1), np.linalg.norm(s) * nf), 1e-300)
+    scale = np.maximum(np.maximum(linalg.axis_norms(target, 1), linalg.norm(s) * nf), 1e-300)
     worst_rec = float(np.max(linalg.axis_norms(rec - target, 1) / scale, initial=0.0))
     live = nf > 0
     cnf = c * nf[live]

@@ -168,6 +168,29 @@ def test_weight_without_finite_square_is_an_input_error():
         system.fusion_bounds()
 
 
+@pytest.mark.filterwarnings("error")
+def test_frame_operator_beyond_the_float_range_is_an_input_error():
+    w = 1.2e154  # w^2 = 1.44e308 is finite; two of them overlapping are not
+    near = WeightedSubspaceSystem([Member(Subspace.full(2), w)])
+    np.testing.assert_array_equal(near.frame_operator(), w * w * np.eye(2))
+    both = WeightedSubspaceSystem([Member(Subspace.full(2), w),
+                                   Member(Subspace.span([1.0, 1.0]), w)])
+    with pytest.raises(InputError, match="frame operator"):
+        both.frame_operator()
+
+
+@pytest.mark.filterwarnings("error")
+def test_analysis_and_synthesis_beyond_the_float_range_are_input_errors():
+    system = WeightedSubspaceSystem([Member(Subspace.span([1.0, 0.0]), 1e145),
+                                     Member(Subspace.full(2), 1e145)])
+    f = np.array([1e19, 0.0])
+    bundle = system.analysis(f)  # blocks 1e164: finite
+    with pytest.raises(InputError, match="synthesis"):
+        system.synthesis(bundle)  # sum_i w_i a_i = 2e309
+    with pytest.raises(InputError, match="blocks"):
+        system.analysis(np.array([1e170, 0.0]))
+
+
 def test_members_share_ambient_dimension():
     with pytest.raises(InputError):
         WeightedSubspaceSystem(

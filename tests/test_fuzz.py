@@ -1,0 +1,137 @@
+"""Scale fuzz over the API and the CLI (run in-process).
+
+Inputs are drawn at graded scales from 1e-150 to 1e150: the weights, the
+entries of each spanning matrix, K and f, each at its own decimal
+exponent.  The ambient dimension starts at 1, members may be zero
+subspaces, and some systems put an eigenvalue of S within 10x of the rank
+cut (1e-10 of the largest).  Every call must give a result or one of the
+package's typed errors, and the CLI an exit code in {0, 1, 2}, with no
+traceback and no RuntimeWarning.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fusionframes import linalg
+from fusionframes.cli import main
+from fusionframes.errors import (
+    InadmissibleError,
+    InputError,
+    NotPSDError,
+    PreconditionError,
+    RangeInclusionError,
+)
+from fusionframes.fusion_systems import WeightedSubspaceSystem
+from fusionframes.kfusion import (
+    atomic_decompose,
+    frame_operator_atomic_check,
+    frame_operator_chain_check,
+    kfusion_verify,
+    refutation_witness,
+)
+
+TYPED = (InputError, NotPSDError, PreconditionError, InadmissibleError, RangeInclusionError)
+
+exponents = st.integers(-150, 150)
+mantissas = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def graded(draw, shape):
+    """A matrix of mantissas in [-1, 1] times 10**e, e in [-150, 150]."""
+    entries = draw(st.lists(mantissas, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(entries).reshape(shape) * 10.0 ** draw(exponents)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 4))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        basis = draw(graded((n, draw(st.integers(0, n)))))  # 0 columns: a zero subspace
+        weight = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(exponents)
+        members.append((basis, weight))
+    if n > 1 and draw(st.booleans()):
+        # the coordinate axes of R^n, one of them weighted so that its
+        # eigenvalue of S sits within 10x of the cut at 1e-10 of the largest
+        w = 10.0 ** draw(exponents)
+        ratio = 1e-10 * 10.0 ** draw(st.floats(-1.0, 1.0))
+        members += [(np.eye(n)[:, [0]], w), (np.eye(n)[:, 1:], w * ratio ** 0.5)]
+    system_json = {
+        "ambient_dim": n,
+        "members": [{"basis": linalg.matrix_to_json(b), "weight": w} for b, w in members],
+    }
+    kind = draw(st.sampled_from(["graded", "zero", "in-range"]))
+    if kind == "zero":
+        k = np.zeros((n, n))
+    else:
+        k = draw(graded((n, n)))
+        if kind == "in-range" and members[0][0].shape[1]:
+            q, _ = np.linalg.qr(members[0][0])
+            k = q @ (q.T @ k)  # range(K) inside W_1, so the pair can verify
+    f = draw(graded((n,)))
+    return system_json, k, f
+
+
+def _api(system_json, k, f):
+    try:
+        system = WeightedSubspaceSystem.from_json(system_json)
+    except TYPED:
+        return
+    calls = [
+        lambda: system.fusion_bounds(),
+        lambda: system.synthesis(system.analysis(f)),
+        lambda: kfusion_verify(system, k),
+        lambda: refutation_witness(system, k),
+        lambda: atomic_decompose(system, k, f),
+        lambda: frame_operator_chain_check(system, k, trials=8),
+        lambda: frame_operator_atomic_check(system, trials=8),
+    ]
+    for call in calls:
+        try:
+            call()
+        except TYPED:
+            pass
+
+
+def _cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(instances())
+def test_extreme_scales_give_a_result_or_a_typed_error(instance):
+    system_json, k, f = instance
+    with warnings.catch_warnings(record=True) as caught, tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("always")
+        _api(system_json, k, f)
+        paths = {}
+        for name, obj in (("s", system_json), ("k", linalg.matrix_to_json(k)),
+                          ("f", [float(x) for x in f])):
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        s, kp = ["--system", paths["s"]], ["--operator", paths["k"]]
+        for argv in (["verify", *s], ["verify", *s, *kp, "--format", "json"],
+                     ["decompose", *s, *kp, "--vector", paths["f"]],
+                     ["transform", *s, *kp], ["local-global", *s]):
+            _cli(argv)
+    runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+               if issubclass(w.category, RuntimeWarning)]
+    assert runtime == []

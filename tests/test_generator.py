@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fusionframes import linalg
+from fusionframes import generator, linalg
 from fusionframes.errors import InputError
-from fusionframes.generator import Flavor, GenSpec, Rng, generate
+from fusionframes.generator import Flavor, GenSpec, Rng, generate, normal_block
 from fusionframes.kfusion import kfusion_verify
 
 
@@ -111,6 +111,61 @@ def test_block_of_normals_is_the_stream_of_single_calls():
     rng = Rng(11)
     rows = np.array([rng.normals(5) for _ in range(64)])
     np.testing.assert_array_equal(Rng(11).normals(64, 5), rows)
+
+
+@pytest.mark.parametrize("seed, trials, n", [(1, 64, 12), (7, 100, 5), (0, 3, 1),
+                                             (2 ** 64 - 1, 9, 4), (1, 65, 12), (1, 12, 64),
+                                             (3, 0, 6)])
+def test_normal_block_is_the_stream_drawn_once(fills, seed, trials, n):
+    block = normal_block(seed, trials, n)
+    assert normal_block(seed, trials, n) is block
+    assert fills == [trials * n]
+    assert block.shape == (trials, n)
+    np.testing.assert_array_equal(block, Rng(seed).normals(trials, n))
+
+
+def test_normal_block_is_read_only():
+    block = normal_block(1, 8, 3)
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        block += 1.0
+    np.testing.assert_array_equal(normal_block(1, 8, 3), Rng(1).normals(8, 3))
+
+
+def test_normal_blocks_of_different_keys_do_not_alias():
+    keys = [(1, 64, 12), (7, 64, 12), (1, 12, 64), (1, 65, 12), (1, 64, 13), (2, 64, 12)]
+    blocks = [normal_block(*key) for key in keys]
+    for key, block in zip(keys, blocks):
+        np.testing.assert_array_equal(block, Rng(key[0]).normals(*key[1:]))
+        assert not any(np.shares_memory(block, other) for other in blocks if other is not block)
+
+
+def test_normal_block_cache_is_bounded(fills):
+    size = generator._BLOCK_CACHE_SIZE
+    for seed in range(size):
+        normal_block(seed, 4, 2)
+    normal_block(0, 4, 2)  # hit: the oldest key is now the most recently used
+    assert len(fills) == size
+    normal_block(size, 4, 2)  # evicts the least recently used, seed 1
+    assert generator._cached_block.cache_info().currsize == size
+    normal_block(0, 4, 2)
+    assert len(fills) == size + 1
+    normal_block(1, 4, 2)
+    assert len(fills) == size + 2
+
+
+@pytest.mark.parametrize("seed, trials, n", [
+    (True, 4, 2), (False, 4, 2), (np.int64(1), 4, 2), (1.0, 4, 2), (-1, 4, 2), (2 ** 64, 4, 2),
+    ("1", 4, 2), (None, 4, 2),
+    (1, -1, 2), (1, 2.5, 2), (1, True, 2), (1, np.int64(4), 2), (1, "4", 2), (1, None, 2),
+    (1, 4, -1), (1, 4, True), (1, 4, 2.0),
+], ids=repr)
+def test_normal_block_rejects_what_is_not_a_key(seed, trials, n):
+    normal_block(1, 4, 2)
+    normal_block(0, 4, 2)
+    with pytest.raises(InputError):
+        normal_block(seed, trials, n)
 
 
 def test_uniform_range_and_determinism():

@@ -740,3 +740,89 @@ def test_one_vector_validation_per_decomposition(monkeypatch):
     for f in vectors:
         atomic_decompose(system, k, f)
     assert len(calls) == len(vectors), calls[:12]
+
+
+def test_sampled_checks_draw_each_sample_once(fills):
+    system, k = _generated_pair(5, 12, 4)
+    other, k2 = _generated_pair(6, 12, 5)
+    fills.clear()  # the generator's draws
+    frame_operator_chain_check(system, k)
+    assert fills == [64 * 12]
+    frame_operator_chain_check(system, k)
+    frame_operator_chain_check(system, 3.0 * k)  # another K, same n
+    frame_operator_chain_check(other, k2)  # another system, same n
+    assert len(fills) == 1
+    frame_operator_atomic_check(system)
+    assert fills[1:] == [100 * 12]
+    frame_operator_atomic_check(system)
+    frame_operator_atomic_check(other)
+    assert len(fills) == 2
+    frame_operator_chain_check(system, k, seed=2)  # another seed is another sample
+    assert len(fills) == 3
+
+
+def test_chain_report_from_a_cold_sample_cache_equals_the_warm_one():
+    cold = {}
+    for seed in (5, 6, 8):
+        cold[seed] = frame_operator_chain_check(*_generated_pair(seed, 8, 3)).to_json()
+    for seed in (5, 6, 8):  # fresh systems, so no spectrum memo is shared
+        assert frame_operator_chain_check(*_generated_pair(seed, 8, 3)).to_json() == cold[seed]
+    system = _generated_pair(5, 8, 3)[0]
+    assert frame_operator_atomic_check(system).to_json() == \
+        frame_operator_atomic_check(_generated_pair(5, 8, 3)[0]).to_json()
+
+
+_BAD_SAMPLES = [
+    {"trials": -1}, {"trials": 2.5}, {"trials": True}, {"trials": np.int64(64)}, {"trials": None},
+    {"seed": True}, {"seed": np.int64(1)}, {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.0},
+]
+
+
+@pytest.mark.parametrize("bad", _BAD_SAMPLES, ids=repr)
+def test_sampled_checks_reject_a_bad_trial_count_or_seed(bad):
+    system, k = _generated_pair(5, 6, 3)
+    frame_operator_chain_check(system, k)  # seed 1's sample is cached
+    frame_operator_atomic_check(system, seed=1)
+    with pytest.raises(InputError):
+        frame_operator_chain_check(system, k, **bad)
+    with pytest.raises(InputError):
+        frame_operator_atomic_check(system, **bad)
+    refuted = WeightedSubspaceSystem([Member(Subspace.span([0.0, 1.0]), 1.0)])
+    with pytest.raises(InputError):  # checked before the verdict
+        frame_operator_chain_check(refuted, np.diag([1.0, 0.0]), **bad)
+
+
+def test_self_atomic_check_of_no_trials_checks_the_basis():
+    system = coordinate_lines(3, [1.0, 2.0, 3.0])
+    rep = frame_operator_atomic_check(system, trials=0)
+    assert rep.ok
+    worst_rec, worst_margin = _self_atomic_reference(system, np.eye(3))
+    assert rep.worst_reconstruction == pytest.approx(worst_rec, rel=0, abs=1e-15)
+    assert rep.worst_norm_margin == pytest.approx(worst_margin, rel=0, abs=1e-12)
+
+
+def test_chain_check_validates_k_once(monkeypatch):
+    system, k = _verified_pair(50)
+    frame_operator_chain_check(system, k)
+    calls = []
+    as_operator = linalg.as_operator
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return as_operator(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "as_operator", counted)
+    frame_operator_chain_check(system, k)
+    assert len(calls) == 1, calls
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_checks_of_a_frame_operator_near_the_float_range():
+    # B ||f|| is beyond the float range; S itself is not
+    rep = frame_operator_chain_check(coordinate_lines(3, [1.2e154, 1e154, 1e153]), np.eye(3))
+    assert rep.all_ok and rep.branch == "inverse"
+    for w in (1e78, 1e150):  # ||S||_F^2 is beyond the float range
+        generated, k = _generated_pair(5, 6, 4)
+        scaled = generated.scaled(w)
+        assert frame_operator_atomic_check(scaled).ok
+        assert frame_operator_chain_check(scaled, k).all_ok
