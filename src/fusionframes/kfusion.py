@@ -7,19 +7,24 @@ eigendecomposition of S (``WeightedSubspaceSystem.spectrum``).  By
 Douglas' range-factorization theorem the lower bound exists exactly when
 the range of K lies in the range of S, so the range defect ||K - P K|| /
 ||K|| decides (P projects onto the range of S).  Then A = 1 /
-sigma_max(S^(+1/2) K)^2, and the canonical dual a_i = w_i P_i S^+ K f is
-the minimal-norm atomic decomposition, with constant A^(-1/2).  This is
-exact and avoids any infimum search.  Refutation is a first-class result
+sigma_max(S^(+1/2) K)^2, with sigma_max from the dominant singular pair
+(``linalg.operator_norm``: Gram squaring, no SVD), and the canonical dual
+a_i = w_i P_i S^+ K f is the minimal-norm atomic decomposition, with
+constant A^(-1/2).  This is exact and avoids any infimum search.  Refutation is a first-class result
 (``is_kff = False``, lower bound 0), not an error, so sweeps over
 arbitrary inputs stay cheap.  ``refutation_witness`` reads its verdict
-from that same report, so it is None exactly when the pair verifies.
+from that same report, so it is None exactly when the pair verifies, and
+takes its direction N v from the dominant right vector v of K^.T N
+(``linalg.dominant_singular``), N a null basis of S.
 
 Every public entry validates K (and T) with ``linalg.as_operator`` and
-``tol`` with ``linalg.check_tol`` (finite and > 0), directly or through
-``kfusion_verify``; malformed input raises InputError.  The chain check
-forms its quantities from K, S and S^+, each scaled by a power of two (with
-A, B and the row filter scaled to match), so its margins do not depend on
-the scale of K and no row norm over- or underflows.
+``tol`` with ``linalg.check_tol`` (finite and > 0), once, directly or
+through ``kfusion_verify``; malformed input raises InputError.  The chain
+check forms its quantities from K, S and S^+, each scaled by a power of two
+(with A, B and the row filter scaled to match), so its margins do not
+depend on the scale of K and no row norm over- or underflows.  The self-atomic check
+works on S and the weights scaled by one power of two and on each vector
+scaled by its own, so it does not overflow for S near the float range.
 
 The two sampled checks, ``frame_operator_chain_check`` and
 ``frame_operator_atomic_check``, draw their fixed sample of ``trials``
@@ -192,12 +197,13 @@ def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_T
     ``tol``: the verdict is that of its (memoized) report.
     """
     k = linalg.as_operator(k, system.ambient_dim, "operator K")
-    if kfusion_verify(system, k, tol).is_kff:
+    linalg.check_tol(tol)
+    spec = system.spectrum()
+    if _verify_checked(spec, k, tol).is_kff:
         return None
     k_hat, _ = linalg.unit_scaled(k)
-    null_basis = system.spectrum().null_basis()
-    _, _, vt = linalg.svd(k_hat.T @ null_basis)
-    direction = null_basis @ vt[0]
+    null_basis = spec.null_basis()
+    direction = null_basis @ linalg.dominant_singular(k_hat.T @ null_basis)[1]
     return direction / np.linalg.norm(direction)
 
 
@@ -236,14 +242,15 @@ def atomic_decompose(
     """
     f = linalg.as_vector(f, n=system.ambient_dim)
     k = linalg.as_operator(k, system.ambient_dim, "operator K")
-    report = kfusion_verify(system, k, tol)
+    linalg.check_tol(tol)
+    spec = system.spectrum()
+    report = _verify_checked(spec, k, tol)
     if not report.is_kff:
         raise PreconditionError(
             "system is refuted for this operator "
             f"(range defect {report.residual:.3e}); no atomic decomposition "
             "with a uniform constant exists"
         )
-    spec = system.spectrum()
     gamma = _memoized(spec, "gamma", k, lambda: system.analysis_operator() @ (spec.pinv() @ k))
     with np.errstate(over="ignore", invalid="ignore"):
         kf = k @ f
@@ -409,19 +416,26 @@ def frame_operator_atomic_check(
     """
     linalg.check_tol(tol)
     n = system.ambient_dim
-    s = system.frame_operator()
-    c = math.sqrt(max(system.spectrum().largest, 0.0))
+    spec = system.spectrum()
+    c = math.sqrt(max(spec.largest, 0.0))
     if vectors is None:
         f = np.vstack([normal_block(seed, trials, n), np.eye(n)])
     else:
         f = linalg.as_matrix(vectors, "vectors") if len(vectors) else np.zeros((0, n))
         if f.shape[1] != n:
             raise InputError(f"vectors have dimension {f.shape[1]}, expected {n}")
+    # Row j of f enters as f_j 2^-a_j (largest entry in [0.5, 1)), S as
+    # S^ = S 2^-d and the weights of the reconstruction as w_i 2^-d.  Both
+    # margins are ratios of terms scaled by the same power of two, so this is
+    # exact, and neither S f nor sum_i w_i a_i overflows near the float range.
+    f = np.ldexp(f, -np.frexp(np.abs(f).max(axis=1, keepdims=True))[1])
+    s_hat, d = _memoized_unit_scaled(spec, "unit_scaled_s", system.frame_operator())
     blocks = (f @ system.analysis_operator().T).reshape(len(f), len(system), n)
-    rec = (system.weights[:, None] * blocks).sum(axis=1)  # row j: sum_i w_i a_i of f_j
-    target = f @ s  # S is symmetric
+    rec = (np.ldexp(system.weights, -d)[:, None] * blocks).sum(axis=1)  # sum_i w_i a_i 2^-d
+    target = f @ s_hat  # S is symmetric
     nf = linalg.axis_norms(f, 1)
-    scale = np.maximum(np.maximum(linalg.axis_norms(target, 1), linalg.norm(s) * nf), 1e-300)
+    scale = np.maximum(np.maximum(linalg.axis_norms(target, 1), linalg.norm(s_hat) * nf),
+                       1e-300)
     worst_rec = float(np.max(linalg.axis_norms(rec - target, 1) / scale, initial=0.0))
     live = nf > 0
     cnf = c * nf[live]
@@ -460,10 +474,12 @@ def range_transfer_check(
     when the inclusion fails."""
     k = linalg.as_operator(k, system.ambient_dim, "operator K")
     t = linalg.as_operator(t, system.ambient_dim, "operator T")
-    base = kfusion_verify(system, k, tol)
+    linalg.check_tol(tol)
+    spec = system.spectrum()
+    base = _verify_checked(spec, k, tol)
     if not base.is_kff:
         raise PreconditionError("system is refuted for the base operator")
-    transferred = kfusion_verify(system, t, tol)
+    transferred = _verify_checked(spec, t, tol)
     try:
         douglas_factor(t, k, tol)
         inclusion = True

@@ -1,10 +1,11 @@
 """Scale fuzz over the API and the CLI (run in-process).
 
-Inputs are drawn at graded scales from 1e-150 to 1e150: the weights, the
-entries of each spanning matrix, K and f, each at its own decimal
-exponent.  The ambient dimension starts at 1, members may be zero
-subspaces, and some systems put an eigenvalue of S within 10x of the rank
-cut (1e-10 of the largest).  Every call must give a result or one of the
+Inputs are drawn at graded scales, each at its own decimal exponent: the
+entries of each spanning matrix, K and f from 1e-150 to 1e150, and the
+weights from 1e-154 to 1e155, up to where S itself leaves the float range.
+The ambient dimension starts at 1, members may be zero subspaces, and some
+systems put an eigenvalue of S within 10x of the rank cut (1e-10 of the
+largest).  Every call must give a result or one of the
 package's typed errors, and the CLI an exit code in {0, 1, 2}, with no
 traceback and no RuntimeWarning.
 """
@@ -17,7 +18,7 @@ import tempfile
 import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fusionframes import linalg
@@ -41,6 +42,7 @@ from fusionframes.kfusion import (
 TYPED = (InputError, NotPSDError, PreconditionError, InadmissibleError, RangeInclusionError)
 
 exponents = st.integers(-150, 150)
+weight_exponents = st.integers(-154, 154)
 mantissas = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -57,12 +59,12 @@ def instances(draw):
     members = []
     for _ in range(draw(st.integers(1, 3))):
         basis = draw(graded((n, draw(st.integers(0, n)))))  # 0 columns: a zero subspace
-        weight = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(exponents)
+        weight = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(weight_exponents)
         members.append((basis, weight))
     if n > 1 and draw(st.booleans()):
         # the coordinate axes of R^n, one of them weighted so that its
         # eigenvalue of S sits within 10x of the cut at 1e-10 of the largest
-        w = 10.0 ** draw(exponents)
+        w = 10.0 ** draw(weight_exponents)
         ratio = 1e-10 * 10.0 ** draw(st.floats(-1.0, 1.0))
         members += [(np.eye(n)[:, [0]], w), (np.eye(n)[:, 1:], w * ratio ** 0.5)]
     system_json = {
@@ -113,9 +115,21 @@ def _cli(argv):
     assert "Traceback" not in err.getvalue(), err.getvalue()
 
 
+# coordinate lines with S finite but within 2x of the float range: S f and
+# sum_i w_i a_i of a sampled f overflow unless formed on scaled S and weights
+NEAR_THE_FLOAT_RANGE = (
+    {"ambient_dim": 3, "members": [
+        {"basis": linalg.matrix_to_json(np.eye(3)[:, [i]]), "weight": w}
+        for i, w in enumerate([1.2e154, 1e154, 1e153])]},
+    np.eye(3),
+    np.ones(3),
+)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(instances())
+@example(NEAR_THE_FLOAT_RANGE)
 def test_extreme_scales_give_a_result_or_a_typed_error(instance):
     system_json, k, f = instance
     with warnings.catch_warnings(record=True) as caught, tempfile.TemporaryDirectory() as tmp:

@@ -185,10 +185,11 @@ def test_atomic_decompose_refuted_raises():
 
 def test_refutation_witness_certifies():
     rng = Rng(27)
-    for _ in range(15):
+    for _ in range(60):
         system, k = refuted_instance(rng)
         f = refutation_witness(system, k)
         assert f is not None
+        assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-15)
         s = system.frame_operator()
         ktf = np.asarray(k).T @ f
         assert np.linalg.norm(ktf) > 1e-8
@@ -483,27 +484,35 @@ def _verified_pair(seed):
     return system, np.asarray(k, float)
 
 
-def test_one_svd_of_the_factor_and_one_of_k_per_pair(monkeypatch):
+def test_one_operator_norm_of_the_factor_and_one_svd_of_k_per_pair(monkeypatch):
     system, k = _verified_pair(41)
     fresh, _ = _verified_pair(41)  # an equal system with an empty memo
-    svd_inputs, eig_calls = [], []
-    svd, sym_eig = linalg.svd, linalg.sym_eig
+    svd_inputs, norm_inputs, eig_calls = [], [], []
+    svd, operator_norm, sym_eig = linalg.svd, linalg.operator_norm, linalg.sym_eig
 
     def counted_svd(m):
         svd_inputs.append(np.array_equal(m, k))
         return svd(m)
+
+    def counted_norm(m):
+        norm_inputs.append(np.array(m))
+        return operator_norm(m)
 
     def counted_eig(m):
         eig_calls.append(m)
         return sym_eig(m)
 
     monkeypatch.setattr(linalg, "svd", counted_svd)
+    monkeypatch.setattr(linalg, "operator_norm", counted_norm)
     monkeypatch.setattr(linalg, "sym_eig", counted_eig)
     rep = kfusion_verify(system, k)
     rng = Rng(8)
     decs = [atomic_decompose(system, k, rng.normals(system.ambient_dim)) for _ in range(3)]
     chain = frame_operator_chain_check(system, k)
-    assert sorted(svd_inputs) == [False, True]  # sigma_max(S^(+1/2) K), then ||K+||
+    assert svd_inputs == [True]  # ||K+|| only
+    assert len(norm_inputs) == 1  # sigma_max(S^(+1/2) K), with K scaled by a power of two
+    np.testing.assert_array_equal(norm_inputs[0],
+                                  system.spectrum().power(-0.5) @ linalg.unit_scaled(k)[0])
     assert len(eig_calls) == 2  # S once, and the chain check's S - A K K.T
 
     monkeypatch.undo()
@@ -821,8 +830,82 @@ def test_sampled_checks_of_a_frame_operator_near_the_float_range():
     # B ||f|| is beyond the float range; S itself is not
     rep = frame_operator_chain_check(coordinate_lines(3, [1.2e154, 1e154, 1e153]), np.eye(3))
     assert rep.all_ok and rep.branch == "inverse"
+    assert frame_operator_atomic_check(coordinate_lines(3, [1.2e154, 1e154, 1e153])).ok
     for w in (1e78, 1e150):  # ||S||_F^2 is beyond the float range
         generated, k = _generated_pair(5, 6, 4)
         scaled = generated.scaled(w)
         assert frame_operator_atomic_check(scaled).ok
         assert frame_operator_chain_check(scaled, k).all_ok
+
+
+@pytest.mark.filterwarnings("error")
+def test_self_atomic_check_does_not_depend_on_the_scale_of_the_vectors():
+    # each vector enters scaled by its own power of two: the same report at
+    # any scale, and no overflow for f near the float range
+    system = coordinate_lines(3, [1e10, 2.0, 3.0])
+    f = np.vstack([Rng(4).normals(6, 3), np.zeros(3)])
+    rep = frame_operator_atomic_check(system, vectors=f)
+    assert rep.ok
+    for e in ([1000], [-1000], [1000, -1000, 3, 0, -7, 900, 0]):
+        scaled = np.ldexp(f, np.array(e)[:, None])
+        assert frame_operator_atomic_check(system, vectors=scaled) == rep
+
+
+def _sweep_pairs():
+    """The shapes of the benchmark's verify-sweep: (kind, n, members, member
+    dimension), five rounds of eight distinct pairs from fixed seeds."""
+    shapes = (("verified", 12, 3, 4), ("verified", 14, 3, 4), ("refuted", 12, 2, 4),
+              ("verified", 18, 4, 5), ("verified", 18, 3, 5), ("refuted", 18, 2, 6),
+              ("verified", 22, 5, 5), ("verified", 22, 4, 6))
+    rng = Rng(5104)
+    pairs = []
+    for _ in range(5):
+        for kind, n, m, d in shapes:
+            flavor = Flavor.K_FUSION_FRAME if kind == "verified" else Flavor.ARBITRARY
+            system, k = generate(GenSpec(seed=rng.u64(), ambient_dim=n, member_count=m,
+                                         dim_range=(d, d), flavor=flavor))
+            pairs.append((kind, system, rng.normals(n, n) if kind == "refuted" else k))
+    return pairs
+
+
+def test_verify_and_witness_match_the_oracle_at_the_benchmark_shapes():
+    pairs = _sweep_pairs()
+    singular = 0
+    for kind, system, k in pairs:
+        k = np.asarray(k, float)
+        s = system.frame_operator()
+        rep = kfusion_verify(system, k)
+        want, _ = oracle_lower_bound(s, k)
+        assert rep.is_kff == (kind == "verified") == (want > 0)
+        assert rep.optimal_upper == pytest.approx(np.linalg.eigvalsh(s)[-1], rel=1e-12)
+        # Against 50-digit mpmath, A errs by up to 1.5e-11 in three of these
+        # pairs (LAPACK's by up to 4.8e-11), from the eigenvalues of S
+        assert rep.optimal_lower == pytest.approx(want, rel=1e-10, abs=0.0)
+        singular += system.spectrum().rank() < system.ambient_dim
+        f = refutation_witness(system, k)
+        assert (f is None) == rep.is_kff
+        if f is not None:
+            ktf = k.T @ f
+            assert f @ (s @ f) <= 1e-10 * (ktf @ ktf)
+    assert len(pairs) == 40 and singular >= 10  # S is singular for every refuted pair
+
+
+def test_lower_bound_near_the_rank_cut_matches_mpmath():
+    # the first verify-sweep pair of benchmark seed 5104, round 1: lambda_min /
+    # lambda_max of S is 1.94e-10, just above the cut at 1e-10, and LAPACK's
+    # A (tests/oracles.py, perfbench/oracle.py) errs by 2.3e-8 and 1.7e-8
+    import mpmath
+
+    system, k = generate(GenSpec(seed=1675235502394991984, ambient_dim=12, member_count=3,
+                                 dim_range=(4, 4), flavor=Flavor.K_FUSION_FRAME))
+    k = np.asarray(k, float)
+    with mpmath.workdps(50):
+        w, v = mpmath.eigsy(mpmath.matrix(system.frame_operator().tolist()))
+        assert 1e-10 < min(w) / max(w) < 2e-10
+        kk = mpmath.matrix(k.tolist())
+        root = mpmath.matrix(12, 12)  # S^(+1/2) K on the kept eigenvalues
+        for i in range(12):
+            if w[i] > 1e-10 * max(w):
+                root += v[:, i] * (v[:, i].T * kk) / mpmath.sqrt(w[i])
+        exact = 1 / max(mpmath.eigsy(root.T * root, eigvals_only=True))
+        assert float(abs(kfusion_verify(system, k).optimal_lower / exact - 1)) <= 2e-9

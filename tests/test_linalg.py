@@ -523,3 +523,130 @@ def test_spectrum_memo_survives_concurrent_eviction():
     finally:
         sys.setswitchinterval(interval)
     assert len(spec._memo) == linalg._MEMO_SIZE
+
+
+# ---------------------------------------------------------------------------
+# The dominant singular pair against mpmath and LAPACK
+
+
+def _dominant_corpus():
+    """(name, matrix): square, tall, wide, rank one, columns graded to 1e-15,
+    clustered tops (sigma_2 = sigma_1 (1 - gap), gap 1e-8 ... 1e-15), entries
+    near 1e+-300 and c I, with 1 to 32 rows or columns."""
+    rng = np.random.default_rng(12)
+    shapes = [(n, n) for n in range(1, 13) for _ in range(3)] + [(16, 16), (22, 22), (32, 32)]
+    shapes += [(n + d, n) for n in (1, 2, 3, 5, 8) for d in (1, 4, 9)]
+    shapes += [(32, 6), (22, 12)]
+    shapes += [(c, r) for r, c in shapes[-17:]]  # the wide transposes
+    cases = []
+    for rows, cols in shapes:
+        m = rng.standard_normal((rows, cols))
+        cases.append((f"random-{rows}x{cols}", m))
+        if rows <= 12 and cols <= 12:
+            cases.append((f"rank-one-{rows}x{cols}",
+                          np.outer(rng.standard_normal(rows), rng.standard_normal(cols))))
+            cases.append((f"graded-{rows}x{cols}", m * np.logspace(0, -15, cols)))
+    for n in (2, 3, 5, 8, 12):
+        for gap in 10.0 ** -np.arange(8, 16):
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            s = np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.0, 0.9, n - 2)])
+            cases.append((f"clustered-{n}-gap{gap:.0e}", (u * s) @ v.T))
+    for n in (1, 3, 8):
+        for scale in (1e300, 1e-300):
+            cases.append((f"scaled-{n}-{scale:.0e}", scale * rng.standard_normal((n, n + 1))))
+        for c in (0.7, 3.0, -1e300, 1e-300):
+            cases.append((f"identity-{n}-{c:g}", c * np.eye(n)))
+    return cases
+
+
+_DOMINANT_CORPUS = _dominant_corpus()
+
+
+def _mp_sigma_max(m):
+    """sigma_max of the float matrix ``m`` from the eigenvalues of its Gram
+    matrix on the smaller side, formed and solved at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        b = mpmath.matrix(m.tolist() if m.shape[0] >= m.shape[1] else m.T.tolist())
+        return mpmath.sqrt(max(mpmath.eigsy(b.T * b, eigvals_only=True)))
+
+
+def test_dominant_singular_value_matches_mpmath():
+    # A Rayleigh quotient never exceeds sigma_max but by rounding.  LAPACK's
+    # sigma_max itself errs by up to 3.5e-15 on the clustered tops at gap
+    # 1e-14 (and by at most 5.1e-16 elsewhere here), so the comparison with
+    # it leaves those out; they are held to the exact value instead.
+    assert len(_DOMINANT_CORPUS) >= 240
+    worst = []
+    for name, m in _DOMINANT_CORPUS:
+        sigma, v = linalg.dominant_singular(m)
+        exact = _mp_sigma_max(m)
+        err = float((sigma - exact) / exact)
+        e = math.frexp(np.abs(m).max())[1]  # LAPACK on m scaled exactly into range
+        lapack = math.ldexp(np.linalg.norm(np.ldexp(m, -e), 2), e)
+        above_lapack = not name.startswith("clustered") and sigma > lapack * (1 + 1e-15)
+        if abs(err) > 1e-14 or err > 1e-15 or above_lapack:
+            worst.append((name, err, sigma / lapack - 1))
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        assert linalg.norm(m @ v) == pytest.approx(sigma, rel=1e-14)
+    assert worst == [], worst
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "m, sigma",
+    [
+        (np.zeros((0, 0)), 0.0),
+        (np.zeros((0, 3)), 0.0),
+        (np.zeros((3, 0)), 0.0),
+        (np.zeros((2, 3)), 0.0),
+        (np.array([[-2.5]]), 2.5),
+        (np.array([[5e-324]]), 5e-324),
+        (np.full((3, 2), 1e300), 1e300 * math.sqrt(6.0)),
+        (np.full((2, 3), -1e-300), 1e-300 * math.sqrt(6.0)),
+        (np.array([[1e-300, 0.0], [0.0, 1e300]]), 1e300),
+        (np.full((2, 2), 1e308), math.inf),  # beyond the float range
+    ],
+    ids=["0x0", "0x3", "3x0", "zero", "1x1", "subnormal", "1e300", "1e-300", "1e+-300", "inf"],
+)
+def test_dominant_singular_edge_cases(m, sigma):
+    got, v = linalg.dominant_singular(m)
+    assert got == pytest.approx(sigma, rel=1e-15, abs=0.0)
+    assert v.shape == (m.shape[1],)
+    assert np.linalg.norm(v) == pytest.approx(1.0 if m.shape[1] else 0.0, abs=1e-15)
+    assert linalg.operator_norm(m) == got
+
+
+def test_dominant_singular_value_of_c_identity_and_diagonal_is_exact():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5, 8, 22, 32):
+        for c in (1.0, -0.3, 7.0, 1e-300, 1e300):
+            sigma, v = linalg.dominant_singular(c * np.eye(n))
+            assert sigma == abs(c)
+            np.testing.assert_array_equal(np.abs(v), np.eye(n)[0])
+        d = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        top = int(np.argmax(np.abs(d)))
+        for m in (np.diag(d), np.vstack([np.diag(d), np.zeros((2, n))]),
+                  np.hstack([np.diag(d), np.zeros((n, 3))])):
+            sigma, v = linalg.dominant_singular(m)
+            assert sigma == abs(d[top])
+            np.testing.assert_array_equal(np.abs(v), np.eye(m.shape[1])[top])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 7), st.integers(1, 7)),
+        elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+)
+def test_dominant_singular_value_matches_lapack_hypothesis(m):
+    e = math.frexp(np.abs(m).max())[1]  # LAPACK on m scaled exactly into range
+    lapack = math.ldexp(np.linalg.norm(np.ldexp(m, -e), 2), e)
+    sigma, v = linalg.dominant_singular(m)
+    assert abs(sigma - lapack) <= 1e-14 * lapack
+    assert sigma <= lapack * (1 + 1e-15)
+    assert linalg.norm(m @ v) == pytest.approx(sigma, rel=1e-14, abs=0.0)
