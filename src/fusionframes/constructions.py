@@ -9,8 +9,8 @@ genuine implication violations count as failures.
 
 Surjectivity and invertibility of K and T are decided from their singular
 values at the one rank cut of ``linalg`` (``_kept``), the cut that also
-forms images, spans and ||T+||.  ``tol`` arguments default to
-``kfusion.DEFAULT_TOL``.
+forms ||T+|| and every image T W_i (relative to ||T||).  ``tol``
+arguments default to ``kfusion.DEFAULT_TOL``.
 
 Every public entry validates K and T with ``linalg.as_operator`` and
 ``tol`` with ``linalg.check_tol`` before any hypothesis is weighed, so
@@ -28,9 +28,9 @@ import numpy as np
 
 from . import linalg
 from .errors import InadmissibleError, InputError, PreconditionError
-from .fusion_systems import Member, WeightedSubspaceSystem
+from .fusion_systems import Member, WeightedSubspaceSystem, coordinate_lines
 from .kfusion import DEFAULT_TOL, KFusionReport, PartResult, kfusion_verify
-from .subspaces import Subspace
+from .subspaces import Subspace, _range
 
 def _full_rank(sv: np.ndarray) -> tuple[bool, float]:
     """Whether a square matrix with the descending singular values ``sv`` has
@@ -43,17 +43,22 @@ def _full_rank(sv: np.ndarray) -> tuple[bool, float]:
 
 def transform_system(system: WeightedSubspaceSystem, t) -> WeightedSubspaceSystem:
     """The system {(T W_i, w_i)}: images are re-orthonormalized, weights
-    kept, and collapsed images retained as zero subspaces."""
-    t = linalg.as_operator(t, system.ambient_dim)
+    kept, and collapsed images retained as zero subspaces.  Every image is
+    cut relative to the one ||T||."""
+    n = system.ambient_dim
+    t = linalg.as_operator(t, n)
+    norm_t = linalg.operator_norm(t)
     return WeightedSubspaceSystem(
-        [Member(m.subspace.image_under(t), m.weight) for m in system.members]
+        [Member(Subspace(n, _range(t @ m.subspace.basis, norm_t), _trusted=True), m.weight)
+         for m in system.members]
     )
 
 
 def _invariance_defect(system: WeightedSubspaceSystem, projector) -> float:
     """Worst column residual of projector(W_i) against W_i over members."""
-    return max(float(m.subspace.residual(m.subspace.image_under(projector).basis)
-                     .max(initial=0.0)) for m in system.members)
+    images = transform_system(system, projector).members
+    return max(float(m.subspace.residual(p.subspace.basis).max(initial=0.0))
+               for m, p in zip(system.members, images))
 
 
 def _commutation(t, k, norm_t: float, norm_k: float, tol: float) -> PartResult:
@@ -172,6 +177,18 @@ class ConsistencyReport:
         }
 
 
+def _implication(verified: bool, full_rank: bool, ratio: float, branches: tuple[str, str],
+                 details: dict) -> ConsistencyReport:
+    """The report on "a verified transformed system forces T to have full
+    rank": branches[0] when verified, branches[1] when refuted with a
+    rank-deficient T, and "vacuous" when refuted with a full-rank T (the
+    implication is silent)."""
+    if verified:
+        return ConsistencyReport(branches[0], full_rank, True, ratio, details)
+    branch = "vacuous" if full_rank else branches[1]
+    return ConsistencyReport(branch, True, False, ratio, details)
+
+
 def surjectivity_consistency_check(
     system: WeightedSubspaceSystem, k, t, tol: float = DEFAULT_TOL
 ) -> ConsistencyReport:
@@ -186,18 +203,9 @@ def surjectivity_consistency_check(
         raise PreconditionError("operator K must have full rank (dense range)")
     report = kfusion_verify(transform_system(system, t), k, tol)
     surjective, ratio = _full_rank(linalg.singular_values(t))
-    if report.is_kff:
-        branch = "verified-implies-surjective"
-        consistent = surjective
-    elif not surjective:
-        branch = "rank-deficient-refuted"
-        consistent = True
-    else:
-        branch = "vacuous"  # refuted with surjective T: implication silent
-        consistent = True
-    return ConsistencyReport(
-        branch, consistent, report.is_kff, ratio, {"surjective": surjective}
-    )
+    return _implication(report.is_kff, surjective, ratio,
+                        ("verified-implies-surjective", "rank-deficient-refuted"),
+                        {"surjective": surjective})
 
 
 def invertibility_consistency_check(
@@ -225,21 +233,11 @@ def invertibility_consistency_check(
         )
     rep_fwd = kfusion_verify(transform_system(system, t), k, tol)
     rep_adj = kfusion_verify(transform_system(system, t.T), k, tol)
-    both = rep_fwd.is_kff and rep_adj.is_kff
-    if both:
-        branch = "both-verified"
-        consistent = invertible
-    elif not invertible:
-        branch = "singular-refuted"
-        consistent = True
-    else:
-        branch = "vacuous"
-        consistent = True
-    return ConsistencyReport(
-        branch,
-        consistent,
-        both,
+    return _implication(
+        rep_fwd.is_kff and rep_adj.is_kff,
+        invertible,
         ratio,
+        ("both-verified", "singular-refuted"),
         {
             "forward_verified": rep_fwd.is_kff,
             "adjoint_verified": rep_adj.is_kff,
@@ -249,18 +247,14 @@ def invertibility_consistency_check(
 
 
 def basis_image_system(k):
-    """The system {(span(K e_i), 1)} over the standard basis columns of K,
-    with collapsed columns kept as zero subspaces.  Always verifies for K
-    since the spans jointly carry the whole range of K; the verification
-    report is returned alongside the system."""
+    """The system {(span(K e_i), 1)}, the coordinate lines transformed by K,
+    so a column at or below the rank cut relative to ||K|| is a zero
+    subspace.  Always verifies for K: the spans carry the range of K but for
+    those columns, so the range defect is at most sqrt(n) * 1e-10, below
+    ``DEFAULT_TOL`` for n < 10^4.  The report is returned with the system."""
     k = linalg.as_operator(k, None, "operator K")
-    n = k.shape[0]
-    members = [
-        Member(Subspace.from_spanning(k[:, [i]]), 1.0) for i in range(n)
-    ]
-    system = WeightedSubspaceSystem(members)
-    report = kfusion_verify(system, k)
-    return system, report
+    system = transform_system(coordinate_lines(k.shape[0]), k)
+    return system, kfusion_verify(system, k)
 
 
 @dataclass(frozen=True)
@@ -370,8 +364,8 @@ def perturbation_estimate(
     perturbed: WeightedSubspaceSystem,
 ) -> PerturbationParams:
     """Smallest lambda1 (with lambda2 = mu = 0) making the hypothesis hold
-    for every f: the square root of the largest eigenvalue of
-    S^(-1/2) D S^(-1/2), D = sum w_i^2 (P_i - Q_i)^2.
+    for every f: ||E S^(-1/2)|| with E = vstack(w_i (P_i - Q_i)), the square
+    root of the largest eigenvalue of S^(-1/2) D S^(-1/2), D = E.T E.
 
     Requires matching shapes and weights and an invertible frame operator
     on the reference side (full rank at the spectrum's rank cut).
@@ -380,18 +374,11 @@ def perturbation_estimate(
         raise InputError("ambient dimensions differ")
     if len(perturbed) != len(system):
         raise InputError("member counts differ")
-    w1 = system.weights
-    w2 = perturbed.weights
-    if not np.allclose(w1, w2, rtol=1e-12, atol=0.0):
+    if not np.allclose(system.weights, perturbed.weights, rtol=1e-12, atol=0.0):
         raise InputError("weights differ between the two systems")
     spec = system.spectrum()
     if spec.rank() < system.ambient_dim:
         raise PreconditionError("reference frame operator is singular")
-    d = np.zeros((system.ambient_dim, system.ambient_dim))
-    for m, m2 in zip(system.members, perturbed.members):
-        delta = m.subspace.projection() - m2.subspace.projection()
-        d += (m.weight * m.weight) * (delta @ delta)
-    inv_root = spec.power(-0.5)
-    mid = inv_root @ d @ inv_root
-    lam = max(linalg.sym_eig(0.5 * (mid + mid.T)).largest, 0.0)
-    return PerturbationParams(math.sqrt(lam))
+    e = np.vstack([m.weight * (m.subspace.projection() - m2.subspace.projection())
+                   for m, m2 in zip(system.members, perturbed.members)])
+    return PerturbationParams(linalg.operator_norm(e @ spec.power(-0.5)))

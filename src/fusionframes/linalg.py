@@ -23,8 +23,8 @@ Algorithms, sized for desk-scale matrices (n <= 64 or so):
   brings its largest entry into [0.5, 1), and scale the results back;
   this is exact (away from underflow) and keeps every intermediate finite,
 * rank decisions: singular values, and eigenvalues of a PSD matrix, at or
-  below DEFAULT_TOL = 1e-10 times the largest one are zero; ``_kept`` is
-  that one cut, with no per-call override.
+  below DEFAULT_TOL = 1e-10 times the largest one (||T|| for an image T W)
+  are zero; ``_kept`` is that one cut, with no per-call tolerance.
 
 Input validation is written once here, one function per kind of input,
 and raises InputError: ``as_matrix``, ``as_operator`` (a finite n x n
@@ -161,7 +161,8 @@ def qr_orthonormalize(m):
     ``unit_scaled(m)`` so no squared entry overflows or underflows.
     Columns whose residual after projection drops below DEFAULT_TOL times
     the largest column norm of ``m`` are dropped.  Returns (Q, rank) where
-    Q is ``m.shape[0] x rank`` with Q.T @ Q = I.
+    Q is ``m.shape[0] x rank`` with Q.T @ Q = I.  Only ``generator`` and
+    ``suite`` use it: spans and images are cut at ``_kept``.
     """
     m = as_matrix(m)
     work, _ = unit_scaled(m)
@@ -184,9 +185,7 @@ def qr_orthonormalize(m):
             q = q / nq
         cols.append(q)
         work -= np.outer(q, q @ work)
-    if not cols:
-        return np.zeros((m.shape[0], 0)), 0
-    q = np.column_stack(cols)
+    q = np.column_stack(cols) if cols else np.zeros((m.shape[0], 0))
     return q, q.shape[1]
 
 
@@ -194,10 +193,10 @@ def qr_orthonormalize(m):
 # Symmetric eigenproblem
 
 
-def _kept(values: np.ndarray) -> np.ndarray:
-    """The rank cut: mask of the values above DEFAULT_TOL times the largest
-    one, all False when none is positive."""
-    return values > DEFAULT_TOL * values.max(initial=0.0)
+def _kept(values: np.ndarray, reference: float | None = None) -> np.ndarray:
+    """The rank cut: mask of the values above DEFAULT_TOL times ``reference``,
+    by default the largest value; all False when none is positive."""
+    return values > DEFAULT_TOL * (values.max(initial=0.0) if reference is None else reference)
 
 
 @dataclass(frozen=True)

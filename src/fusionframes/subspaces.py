@@ -5,6 +5,10 @@ whose columns are orthonormal (k = 0 denotes the zero subspace, which is a
 first-class citizen here: operator images can and do collapse).  Equality
 of subspaces is decided through projection matrices, never through basis
 comparison, since bases are not unique.
+
+Every span and image is formed by one range rule, ``_range``: the rank cut
+``linalg._kept`` on the singular values, relative to ||T|| for an image
+T(W), the reference that decides whether T itself is surjective.
 """
 
 from __future__ import annotations
@@ -15,6 +19,43 @@ from . import linalg
 from .errors import InputError
 
 _ORTHO_TOL = 1e-10
+
+
+def _range(m: np.ndarray, reference: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the column space of ``m``: the left singular
+    vectors kept by ``linalg._kept(s, reference)``, taken from the SVD of
+    the rows of ``m`` as ``_merged_rows`` merges them."""
+    b, e = linalg.unit_scaled(m)
+    rows, lift = _merged_rows(b)
+    u, s, _ = linalg.svd(rows)
+    return lift @ u[:, linalg._kept(np.ldexp(s, e), reference)]
+
+
+def _merged_rows(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, lift) with b = lift @ r and orthonormal columns in lift, r the
+    nonzero rows of ``b`` (entries below 1) with the rows that agree up to
+    a factor +-2^k merged.  One-sided Jacobi keeps such rows exactly
+    proportional, so unmerged they can leave it more columns than rank,
+    and then it runs to its sweep cap."""
+    index = np.flatnonzero(b.any(axis=1))
+    if not index.size:
+        return b[index], np.zeros((len(b), 0))
+    rows = b[index]
+    lead = rows[np.arange(index.size), np.abs(rows).argmax(axis=1)]
+    scale = np.ldexp(np.sign(lead), np.frexp(lead)[1])  # +-2^k with |scale| <= 1
+    keys = {}  # each row divided by its scale, exactly, as bytes
+    group = np.array([keys.setdefault(unit.tobytes(), len(keys))
+                      for unit in rows / scale[:, None] + 0.0])
+    if len(keys) == index.size:
+        return rows, np.eye(len(b))[:, index]
+    first = np.unique(group, return_index=True)[1]
+    top = np.zeros(first.size)
+    np.maximum.at(top, group, np.abs(scale))
+    t = scale / top[group]  # row j of b is t[j] * top * unit, exactly
+    norm = np.sqrt(np.bincount(group, t * t))
+    lift = np.zeros((len(b), first.size))
+    lift[index, group] = t / norm[group]
+    return rows[first] / scale[first, None] * (top * norm)[:, None], lift
 
 
 class Subspace:
@@ -45,13 +86,12 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, m, *, ambient_dim: int | None = None):
-        """Subspace spanned by the columns of ``m`` (``linalg.qr_orthonormalize``)."""
+        """Subspace spanned by the columns of ``m`` (``_range``)."""
         m = linalg.as_matrix(m, "spanning matrix")
         n = m.shape[0] if ambient_dim is None else ambient_dim
         if m.shape[0] != n:
             raise InputError(f"spanning matrix has {m.shape[0]} rows, expected {n}")
-        q, _ = linalg.qr_orthonormalize(m) if m.shape[1] else (np.zeros((n, 0)), 0)
-        return cls(n, q, _trusted=True)
+        return cls(n, _range(m), _trusted=True)
 
     @classmethod
     def span(cls, *vectors):
@@ -95,11 +135,13 @@ class Subspace:
         return np.sqrt((resid * resid).sum(axis=0))
 
     def image_under(self, t) -> "Subspace":
-        """The image subspace t(W); the rank may drop (possibly to zero)."""
+        """The image subspace t(W), cut relative to ||t||; the rank may drop
+        (possibly to zero)."""
         t = linalg.as_operator(t, self.ambient_dim)
         if self.is_zero():
             return Subspace.zero(self.ambient_dim)
-        return Subspace.from_spanning(t @ self.basis)
+        return Subspace(self.ambient_dim, _range(t @ self.basis, linalg.operator_norm(t)),
+                        _trusted=True)
 
     def contains(self, other: "Subspace", tol: float = linalg.DEFAULT_VERDICT_TOL) -> bool:
         """True iff every basis vector of ``other`` lies in this subspace
@@ -133,7 +175,7 @@ class Subspace:
     @classmethod
     def from_json(cls, obj, name: str = "subspace") -> "Subspace":
         """Parse {"ambient_dim": n, "basis": <matrix>}; the basis is
-        re-orthonormalized on load."""
+        re-orthonormalized on load (``from_spanning``)."""
         if not isinstance(obj, dict):
             raise InputError(f"{name}: expected an object")
         if "ambient_dim" not in obj:

@@ -164,20 +164,36 @@ def test_surjectivity_sweeps():
         assert rep.consistent is not False
 
 
-@pytest.mark.parametrize("ratio", [5e-9, 1e-9, 3e-10, 1.5e-10])
-def test_surjectivity_is_decided_at_the_rank_cut(ratio):
-    # sigma_min / sigma_max = ratio is kept by the 1e-10 cut that forms the
-    # image subspaces, so T(R^n) = R^n verifies and T counts as surjective.
+def _graded_transforms(ratio):
+    """T(R^n) for 120 operators T with sigma_min / sigma_max = ratio."""
     rng = Rng(47)
     for _ in range(40):
         for n in (3, 4, 6):
             sv = np.append(np.linspace(1.0, 0.3, n - 1), ratio)
             t = random_orthogonal(rng, n) @ np.diag(sv) @ random_orthogonal(rng, n)
             full = WeightedSubspaceSystem([(Subspace.full(n), 1.0)])
-            rep = surjectivity_consistency_check(full, np.eye(n), t)
-            assert rep.verified and rep.consistent, (n, rep.to_json())
-            assert rep.details["surjective"]
-            assert rep.sigma_min_ratio == pytest.approx(ratio, rel=1e-6)
+            yield n, surjectivity_consistency_check(full, np.eye(n), t)
+
+
+@pytest.mark.parametrize("ratio", [5e-9, 1e-9, 3e-10, 1.5e-10])
+def test_surjectivity_is_decided_at_the_rank_cut(ratio):
+    # sigma_min / sigma_max = ratio is kept by the 1e-10 cut, which decides
+    # T's rank and, relative to ||T||, forms the image T(R^n): so T(R^n) =
+    # R^n verifies and T counts as surjective.
+    for n, rep in _graded_transforms(ratio):
+        assert rep.verified and rep.consistent, (n, rep.to_json())
+        assert rep.details["surjective"]
+        assert rep.sigma_min_ratio == pytest.approx(ratio, rel=1e-6)
+
+
+@pytest.mark.parametrize("ratio", [8e-11, 5e-11])
+def test_surjectivity_below_the_rank_cut_is_refuted(ratio):
+    # the same cut drops sigma_min from T and from the image T(R^n), so
+    # the image misses a dimension and the transformed system is refuted
+    for n, rep in _graded_transforms(ratio):
+        assert rep.consistent and not rep.verified, (n, rep.to_json())
+        assert rep.branch == "rank-deficient-refuted"
+        assert not rep.details["surjective"]
 
 
 def test_invertibility_check_orthogonal():
@@ -235,6 +251,27 @@ def test_basis_image_rank_deficient_worked_example():
     assert rep.is_kff
     assert rep.optimal_lower == pytest.approx(1.0, abs=1e-10)
     assert rep.optimal_upper == pytest.approx(1.0, abs=1e-10)
+
+
+def test_basis_image_column_below_the_cut_is_a_zero_subspace():
+    # ||K e3|| = 1e-11 ||K|| is below the rank cut relative to ||K||
+    system, rep = basis_image_system(np.diag([1.0, 2.0, 2e-11]))
+    assert [m.subspace.dim for m in system.members] == [1, 1, 0]
+    assert rep.is_kff
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_columns_dropped_at_the_cut_leave_a_defect_below_the_tolerance(n):
+    # every column but the first is just below the cut relative to ||K||;
+    # together they leave a range defect near sqrt(n - 1) * 1e-10, which is
+    # above the cut but far below the verdict tolerance
+    k = np.diag([1.0] + [9.9e-11] * (n - 1))
+    system, rep = basis_image_system(k)
+    assert [m.subspace.dim for m in system.members] == [1] + [0] * (n - 1)
+    assert 1e-10 < rep.residual <= math.sqrt(n - 1) * 1e-10 and rep.is_kff
+    image = operator_image_construct(coordinate_lines(n), k)
+    assert image.hypothesis_ok and image.consistent
+    assert image.report.residual == rep.residual
 
 
 def test_basis_image_random_always_verifies():
@@ -410,3 +447,26 @@ def test_isometric_adjoint_transform_verifies_on_range():
         quad = np.einsum("ni,ij,nj->n", f_dirs, s2, f_dirs)
         assert np.all(quad >= rep.report.optimal_lower - 1e-9)
         assert np.all(quad <= rep.report.optimal_upper + 1e-9)
+
+
+def test_spans_and_images_never_use_gram_schmidt(monkeypatch):
+    # qr_orthonormalize serves the instance builders only; every span,
+    # image and construction decides its rank at the one SVD cut
+    def refuse(*_):
+        raise AssertionError("qr_orthonormalize called")
+
+    monkeypatch.setattr(linalg, "qr_orthonormalize", refuse)
+    w = Subspace.from_spanning(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 2.0]]))
+    assert w.dim == 2
+    assert Subspace.span([1.0, 0.0, 0.0], [2.0, 0.0, 0.0]).dim == 1
+    assert Subspace.from_json(w.to_json()).projection_distance(w) < 1e-12
+    assert WeightedSubspaceSystem.from_json(coordinate_lines(3).to_json()).spectrum().rank() == 3
+    assert w.image_under(np.diag([1.0, 1.0, 0.0])).dim == 2
+    assert [m.subspace.dim for m in
+            transform_system(coordinate_lines(3), np.diag([1.0, 0.0, 1.0])).members] == [1, 0, 1]
+    assert basis_image_system(np.diag([1.0, 1.0, 0.0]))[1].is_kff
+    lines = coordinate_lines(2)
+    assert surjectivity_consistency_check(lines, np.eye(2), SWAP).consistent
+    assert invertibility_consistency_check(lines, np.eye(2), SWAP).consistent
+    assert commuting_transform_construct(lines, np.eye(2), SWAP).bounds_consistent
+    assert operator_image_construct(coordinate_lines(3), np.diag([1.0, 1.0, 0.0])).consistent

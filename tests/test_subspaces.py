@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from fusionframes import _kernels, linalg
 from fusionframes.errors import InputError
+from fusionframes.generator import Rng
 from fusionframes.subspaces import Subspace
+from fusionframes.suite import random_orthogonal
 
 
 def test_from_spanning_full_space():
@@ -55,6 +58,72 @@ def test_image_examples():
     assert killed.is_zero()
     swapped = w.image_under(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert swapped.projection_distance(Subspace.span([0.0, 1.0])) < 1e-12
+
+
+def test_image_is_cut_relative_to_the_operator_norm():
+    # ||T e2|| = 1e-11 ||T||: below the cut that decides T's own rank, so the
+    # image collapses although T e2 alone is a nonzero vector
+    t = np.diag([1.0, 1e-11])
+    assert Subspace.span([0.0, 1.0]).image_under(t).is_zero()
+    assert Subspace.span([0.0, 1.0]).image_under(np.diag([1.0, 1e-9])).dim == 1
+    assert Subspace.from_spanning(t[:, [1]]).dim == 1
+
+
+def test_span_dimension_is_decided_at_the_rank_cut():
+    # graded spanning sets whose smallest singular value straddles the cut:
+    # the span has exactly the dimension matrix_rank gives
+    rng = Rng(61)
+    for ratio in np.geomspace(3e-11, 3e-10, 10):
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            c = rng.randint(2, n + 2)
+            r = min(n, c)
+            sv = np.geomspace(1.0, ratio, r)
+            m = random_orthogonal(rng, n)[:, :r] @ np.diag(sv) @ random_orthogonal(rng, c)[:r, :]
+            assert Subspace.from_spanning(m).dim == linalg.matrix_rank(m), (ratio, n, c)
+
+
+@pytest.fixture
+def rotation_steps(monkeypatch):
+    """The number of Jacobi steps that rotate at least one pair from here on."""
+    steps = []
+    rotation = _kernels._rotation
+
+    def counted(d, off):
+        steps.append(d.size)
+        return rotation(d, off)
+
+    monkeypatch.setattr(_kernels, "_rotation", counted)
+    return steps
+
+
+def test_proportional_rows_do_not_stall_the_svd(rotation_steps):
+    # rows that agree up to a factor +-2^k (zero rows included) stay exactly
+    # proportional under one-sided Jacobi: with more columns than rank it
+    # runs to its sweep cap (hundreds of steps here), so the range rule
+    # merges them first
+    angles = np.linspace(0.0, 3.0, 6)
+    w = Subspace.span(*[np.r_[np.cos(a), np.sin(a), np.zeros(4)] for a in angles])
+    assert w.dim == 2
+    assert len(rotation_steps) <= len(_kernels._round_robin(6))
+    rotation_steps.clear()
+    basis = Subspace(12, random_orthogonal(Rng(1), 12), _trusted=True)
+    image = basis.image_under(np.diag([1.0] * 11 + [0.0]))
+    assert image.dim == 11
+    assert len(rotation_steps) <= len(_kernels._round_robin(12))
+    rng = Rng(2)
+    a = rng.normals(3, 6)
+    b = rng.normals(4, 8)
+    for m in (np.vstack([a, a]), np.vstack([a, -a]), np.vstack([a, 2.0 * a]),
+              np.vstack([-a[1], a, 0.0 * a[0], 0.25 * a[0], -8.0 * a[2]]),
+              np.vstack([b, b]), np.vstack([a * 2.0**-1000, a * 2.0**1000])):
+        rotation_steps.clear()
+        w = Subspace.from_spanning(m)
+        assert len(rotation_steps) <= 2 * len(_kernels._round_robin(m.shape[1]))
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        rank = np.linalg.matrix_rank(m)
+        assert w.dim == rank
+        assert np.abs(w.projection() - u[:, :rank] @ u[:, :rank].T).max() < 1e-14
 
 
 def test_image_dimension_mismatch():
@@ -159,7 +228,7 @@ def test_direct_constructor_requires_orthonormal():
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_span_of_an_extreme_scale_vector_is_a_line(scale):
     # the squared entries underflow to 0 or overflow to inf unless the
-    # Gram-Schmidt input is scaled first
+    # SVD input is scaled first
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         w = Subspace.span([scale, 0.0])
