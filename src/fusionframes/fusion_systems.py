@@ -13,14 +13,17 @@ A system computes S, its eigendecomposition and the analysis matrix
 Phi = vstack(w_i P_i) once each (``frame_operator``, ``spectrum``,
 ``analysis_operator``), shared read-only.  Every block map reads its blocks
 from Phi into one m x n array, row i for member i.  The optimal frame
-bounds are the extremal eigenvalues, and every operator-relative quantity
-in ``kfusion`` derives from the same spectrum.
+bounds are the extremal eigenvalues, the system is a frame exactly when S
+has full rank at the spectrum's one rank cut, and every operator-relative
+quantity in ``kfusion`` derives from the same spectrum.  A vector frame
+{f_i} is the system of lines {(span f_i, ||f_i||)} (``vector_frames``).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,28 +57,6 @@ class BoundsReport:
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict.value, "lower": float(self.lower), "upper": float(self.upper)}
-
-
-def classify_bounds(lower: float, upper: float, tol: float) -> BoundsReport:
-    """Spectral verdict from extremal eigenvalues of a frame operator.
-
-    Parseval needs both bounds within ``tol`` of 1; tight needs a relative
-    spread below ``tol``; frame needs lower > tol * upper (relative, so the
-    verdict is invariant under weight scaling).
-    """
-    lower = max(float(lower), 0.0)
-    upper = max(float(upper), 0.0)
-    if upper == 0.0:
-        return BoundsReport(Verdict.BESSEL_ONLY, 0.0, 0.0)
-    if abs(lower - 1.0) <= tol and abs(upper - 1.0) <= tol:
-        verdict = Verdict.PARSEVAL
-    elif upper - lower <= tol * upper and lower > tol * upper:
-        verdict = Verdict.TIGHT
-    elif lower > tol * upper:
-        verdict = Verdict.FRAME
-    else:
-        verdict = Verdict.BESSEL_ONLY
-    return BoundsReport(verdict, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -221,15 +202,15 @@ class WeightedSubspaceSystem:
 
     def frame_operator(self) -> np.ndarray:
         """S = sum_i w_i^2 P_i, symmetric PSD.  Raises InputError when a
-        squared weight is not a finite float, or S is beyond the float range."""
+        squared weight is not a finite normal float, or S is beyond the float
+        range."""
         if self._frame_op is None:
             s = np.zeros((self.ambient_dim, self.ambient_dim))
             for i, m in enumerate(self.members):
                 w2 = m.weight * m.weight
-                if not math.isfinite(w2):
-                    raise InputError(
-                        f"member {i}: weight {m.weight} has no finite square"
-                    )
+                if not sys.float_info.min <= w2 < math.inf:
+                    raise InputError(f"member {i}: weight {m.weight} has " + (
+                        "no finite square" if w2 > 1 else "a square below the normal float range"))
                 with np.errstate(over="ignore", invalid="ignore"):
                     s += w2 * m.subspace.projection()
             _check_finite(s, "the frame operator sum_i w_i^2 P_i is")
@@ -247,10 +228,21 @@ class WeightedSubspaceSystem:
         return self._spectrum
 
     def fusion_bounds(self, tol: float = linalg.DEFAULT_VERDICT_TOL) -> BoundsReport:
-        """Optimal bounds = extremal eigenvalues of the frame operator."""
+        """Optimal bounds = extremal eigenvalues of S.  Frame: S has full rank
+        (so K = I verifies); ``tol`` decides only Tight (relative spread at
+        most ``tol``) and Parseval (both bounds within ``tol`` of 1)."""
         linalg.check_tol(tol)
         spec = self.spectrum()
-        return classify_bounds(spec.smallest, spec.largest, tol)
+        lower, upper = max(spec.smallest, 0.0), max(spec.largest, 0.0)
+        if spec.rank() < self.ambient_dim:
+            verdict = Verdict.BESSEL_ONLY
+        elif abs(lower - 1.0) <= tol and abs(upper - 1.0) <= tol:
+            verdict = Verdict.PARSEVAL
+        elif upper - lower <= tol * upper:
+            verdict = Verdict.TIGHT
+        else:
+            verdict = Verdict.FRAME
+        return BoundsReport(verdict, lower, upper)
 
     def scaled(self, c: float) -> "WeightedSubspaceSystem":
         """The same subspaces with every weight multiplied by c > 0."""

@@ -19,7 +19,9 @@ takes its direction N v from the dominant right vector v of K^.T N
 
 Every public entry validates K (and T) with ``linalg.as_operator`` and
 ``tol`` with ``linalg.check_tol`` (finite and > 0), once, directly or
-through ``kfusion_verify``; malformed input raises InputError.  The chain
+through ``kfusion_verify``, the one public entry to the verifier (vector
+frames reach it through their line systems); malformed input raises
+InputError.  The chain
 check forms its quantities from K, S and S^+, each scaled by a power of two
 (with A, B and the row filter scaled to match), so its margins do not
 depend on the scale of K and no row norm over- or underflows.  The self-atomic check
@@ -152,19 +154,9 @@ def _memoized_unit_scaled(spec: linalg.Spectrum, name: str,
     return spec.memoized(name, compute)
 
 
-def verify_operator_bound(spec: linalg.Spectrum, k, tol: float = DEFAULT_TOL) -> KFusionReport:
-    """Shared verification core: decide A ||K.T f||^2 <= <S f, f> for the PSD
-    operator S with eigendecomposition ``spec`` and report optimal constants.
-    K is scaled by a power of two, so no product overflows.  The range
-    defect and the verified report are memoized per K on ``spec``; the
-    report's ``factor_t`` is read-only."""
-    k = linalg.as_operator(k, spec.eigenvalues.shape[0], "operator K")
-    linalg.check_tol(tol)
-    return _verify_checked(spec, k, tol)
-
-
 def _verify_checked(spec: linalg.Spectrum, k: np.ndarray, tol: float) -> KFusionReport:
-    """``verify_operator_bound`` for a K and ``tol`` already validated."""
+    """``kfusion_verify`` on the spectrum of S, for a K and ``tol`` already
+    validated."""
     residual = _memoized(spec, "range_defect", k, lambda: _range_defect(
         spec.null_basis(), linalg.unit_scaled(k)[0]))
     if residual > tol:
@@ -184,8 +176,13 @@ def _verified(spec: linalg.Spectrum, k: np.ndarray, residual: float) -> KFusionR
 
 def kfusion_verify(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_TOL) -> KFusionReport:
     """Verify or refute the system against the operator ``k``: a range
-    defect above ``tol`` refutes, with the defect attached."""
-    return verify_operator_bound(system.spectrum(), k, tol)
+    defect above ``tol`` refutes, with the defect attached.  K is scaled by
+    a power of two, so no product overflows.  The range defect and the
+    verified report are memoized per K on the system's spectrum; the
+    report's ``factor_t`` is read-only."""
+    k = linalg.as_operator(k, system.ambient_dim, "operator K")
+    linalg.check_tol(tol)
+    return _verify_checked(system.spectrum(), k, tol)
 
 
 def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_TOL):

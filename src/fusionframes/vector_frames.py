@@ -1,12 +1,13 @@
 """Classical vector frames, operator-relative vector frames, and the
 local-to-global bridge.
 
-A family of vectors {f_i} is a frame when the extremal eigenvalues of
-S = sum f_i f_i.T are positive; its operator-relative verification reuses
-the same range-factorization core as the subspace case.  The bridge: local
-frames for the members of a subspace system, scaled by the weights,
-assemble into one global vector frame whose bounds are sandwiched between
-the fusion bounds times the extreme local bounds.
+A family of vectors {f_i} is the fusion frame of lines {(span f_i, ||f_i||)}
+(``VectorFrame.line_system``, built once per frame): its frame operator is
+S = sum f_i f_i.T, so its bounds, verdict and operator-relative
+verification are those of the line system, from its one cached spectrum.
+The bridge: local frames for the members of a subspace system, scaled by
+the weights, assemble into one global vector frame whose bounds are
+sandwiched between the fusion bounds times the extreme local bounds.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .fusion_systems import BoundsReport, WeightedSubspaceSystem, classify_bounds
-from .kfusion import DEFAULT_TOL, KFusionReport, verify_operator_bound
+from .fusion_systems import BoundsReport, Member, WeightedSubspaceSystem
+from .kfusion import DEFAULT_TOL, KFusionReport, kfusion_verify
+from .subspaces import Subspace
 
 
 class VectorFrame:
     """Finite ordered family of vectors in R^n."""
 
-    __slots__ = ("ambient_dim", "vectors")
+    __slots__ = ("ambient_dim", "vectors", "_lines")
 
     def __init__(self, ambient_dim: int, vectors):
         if ambient_dim < 1:
@@ -35,6 +37,7 @@ class VectorFrame:
             raise InputError("a vector frame needs at least one vector")
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_lines", None)
 
     def __setattr__(self, *_):
         raise AttributeError("VectorFrame is immutable")
@@ -46,10 +49,22 @@ class VectorFrame:
         """n x m matrix whose columns are the frame vectors."""
         return np.column_stack(self.vectors)
 
+    def line_system(self) -> WeightedSubspaceSystem:
+        """The system {(span f_i, ||f_i||)}, member i the line of the unit
+        vector f_i / ||f_i|| (a zero vector: the zero subspace), built once
+        and shared."""
+        if self._lines is None:
+            n, members = self.ambient_dim, []
+            for f in self.vectors:
+                w = linalg.norm(f)
+                line = Subspace(n, (f / w)[:, None], _trusted=True) if w else Subspace.zero(n)
+                members.append(Member(line, w or 1.0))
+            object.__setattr__(self, "_lines", WeightedSubspaceSystem(members))
+        return self._lines
+
     def frame_operator(self) -> np.ndarray:
-        t = self.synthesis_matrix()
-        s = t @ t.T
-        return 0.5 * (s + s.T)
+        """S = sum f_i f_i.T, the line system's frame operator."""
+        return self.line_system().frame_operator()
 
     def to_json(self) -> dict:
         return {
@@ -60,25 +75,23 @@ class VectorFrame:
 
 def vector_frame_bounds(frame: VectorFrame,
                         tol: float = linalg.DEFAULT_VERDICT_TOL) -> BoundsReport:
-    """Optimal bounds = extremal eigenvalues of sum f_i f_i.T."""
-    linalg.check_tol(tol)
-    spec = linalg.sym_eig(frame.frame_operator())
-    return classify_bounds(spec.smallest, spec.largest, tol)
+    """Optimal bounds = extremal eigenvalues of sum f_i f_i.T: the line
+    system's ``fusion_bounds``."""
+    return frame.line_system().fusion_bounds(tol)
 
 
 def kframe_verify(frame: VectorFrame, k, tol: float = DEFAULT_TOL) -> KFusionReport:
-    """Verify the frame against an operator, same route as the subspace
-    case.  On success the report also carries the coefficient-operator
-    witness gamma = T.T S+ K (T the synthesis matrix, the canonical dual
-    route): its rows give, for each f, the minimal-norm coefficients
-    {a_i} with K f = sum a_i f_i, of norm at most ||gamma|| ||f||."""
-    k = linalg.as_operator(k, frame.ambient_dim, "operator K")
-    spec = linalg.sym_eig(frame.frame_operator())
-    report = verify_operator_bound(spec, k, tol)
+    """``kfusion_verify`` on the line system.  A verified report also carries
+    gamma = T.T S+ K (T the synthesis matrix): for each f, gamma f is the
+    minimal-norm {a_i} with K f = sum a_i f_i.  It is formed as the partial
+    isometry (S^(+1/2) T).T times the report's ``factor_t`` = S^(+1/2) K,
+    from the same cached spectrum, so no product overflows."""
+    system = frame.line_system()
+    report = kfusion_verify(system, k, tol)
     if not report.is_kff:
         return report
-    gamma = frame.synthesis_matrix().T @ spec.pinv() @ k
-    return replace(report, gamma=gamma)
+    root_t = system.spectrum().power(-0.5) @ frame.synthesis_matrix()
+    return replace(report, gamma=root_t.T @ report.factor_t)
 
 
 @dataclass(frozen=True)
@@ -123,51 +136,47 @@ def local_to_global_check(
 
     Every positive-dimensional member must carry a local frame whose
     vectors lie inside the member subspace (InputError otherwise); local
-    bounds are eigenvalues of the local frame operator expressed in member
-    coordinates.  A non-spanning local frame is reported as a local
-    failure (C = 0) and makes the comparison vacuous.
+    bounds are ``vector_frame_bounds`` of the local frame in member
+    coordinates.  C <= 1e-10 D, the rank cut ``linalg._kept`` whatever the
+    scale (C = 0 for a local frame that does not span), is reported as a
+    local failure and makes the comparison vacuous.
     """
     linalg.check_tol(tol)
-    local_lower = []
-    local_upper = []
-    global_vectors = []
+    n = system.ambient_dim
+    local_lower, local_upper, global_vectors = [], [], []
     for i, m in enumerate(system.members):
         sub = m.subspace
-        local = [linalg.as_vector(v, f"local vector [{i}][{j}]", system.ambient_dim)
-                 for j, v in enumerate(m.local_frame)]
+        v = np.array([linalg.as_vector(f, f"local vector [{i}][{j}]", n)
+                      for j, f in enumerate(m.local_frame)]).reshape(-1, n)
+        with np.errstate(over="ignore"):  # VectorFrame rejects an overflowed vector
+            nv, coords, weighted = linalg.axis_norms(v, 1), v @ sub.basis, m.weight * v
         if sub.dim == 0:
-            if any(np.linalg.norm(v) > tol for v in local):
+            if (nv > tol).any():
                 raise InputError(f"member {i}: local vector outside the zero subspace")
             continue
-        if not local:
+        if not len(v):
             raise InputError(f"member {i}: missing local frame")
-        coords = []
-        for j, v in enumerate(local):
-            nv = np.linalg.norm(v)
-            resid = float(sub.residual(v))
-            if nv > 0 and resid > tol * nv:
-                raise InputError(
-                    f"member {i}: local vector {j} lies outside its subspace "
-                    f"(relative residual {resid / nv:.3e})"
-                )
-            coords.append(sub.basis.T @ v)
-            global_vectors.append(m.weight * v)
-        g = np.column_stack(coords)
-        spec = linalg.sym_eig(g @ g.T)
-        local_lower.append(max(spec.smallest, 0.0))
-        local_upper.append(max(spec.largest, 0.0))
+        resid = sub.residual((v / np.where(nv > 0, nv, 1.0)[:, None]).T)  # relative
+        if (resid > tol).any():
+            j = int(np.argmax(resid > tol))
+            raise InputError(f"member {i}: local vector {j} lies outside its subspace "
+                             f"(relative residual {resid[j]:.3e})")
+        local = vector_frame_bounds(VectorFrame(sub.dim, coords), tol)
+        local_lower.append(local.lower)
+        local_upper.append(local.upper)
+        global_vectors += list(weighted)
     if not global_vectors:
         raise InputError("system has no local frame vectors at all")
     c = min(local_lower) if local_lower else 0.0
     d = max(local_upper) if local_upper else 0.0
     fusion = system.fusion_bounds(tol)
-    global_frame = VectorFrame(system.ambient_dim, global_vectors)
+    global_frame = VectorFrame(n, global_vectors)
     global_bounds = vector_frame_bounds(global_frame, tol)
-    local_failure = c <= tol * max(d, 1.0)
+    local_failure = not linalg._kept(np.array([c]), d)[0]
     equivalent = interval_ok = None  # a local failure makes the comparison vacuous
     if not local_failure:
         equivalent = fusion.verdict.is_frame() == global_bounds.verdict.is_frame()
-        slack = tol * max(1.0, fusion.upper * d)
+        slack = tol * fusion.upper * d
         interval_ok = (
             global_bounds.lower >= fusion.lower * c - slack
             and global_bounds.upper <= fusion.upper * d + slack

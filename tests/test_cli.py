@@ -88,6 +88,42 @@ def test_verify_weight_with_overflowing_square_exit_two(files, capsys):
     assert "weight" in err and "finite square" in err
 
 
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_weight_with_underflowing_square_exit_two(files, capsys, command):
+    # w^2 = 1e-340 is below the normal float range: S would silently be 0
+    light = write(
+        files["dir"] / "light.json",
+        {
+            "ambient_dim": 2,
+            "members": [
+                {"basis": {"rows": 2, "cols": 1, "data": [1.0, 0.0]}, "weight": 1e-170},
+                {"basis": {"rows": 2, "cols": 1, "data": [0.0, 1.0]}, "weight": 1e-170},
+            ],
+        },
+    )
+    code = main([command, "--system", light])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "weight" in captured.err and "below the normal float range" in captured.err
+
+
+@pytest.mark.parametrize("ratio, code", [(5e-10, 0), (2e-10, 0), (5e-11, 1)])
+def test_bounds_exit_code_follows_the_rank_cut(files, capsys, ratio, code):
+    # lambda_min / lambda_max = ratio: a frame exactly when above 1e-10
+    system = write(
+        files["dir"] / "graded.json",
+        {
+            "ambient_dim": 2,
+            "members": [
+                {"basis": {"rows": 2, "cols": 1, "data": [1.0, 0.0]}, "weight": 1.0},
+                {"basis": {"rows": 2, "cols": 1, "data": [0.0, 1.0]}, "weight": math.sqrt(ratio)},
+            ],
+        },
+    )
+    assert main(["bounds", "--system", system]) == code
+    capsys.readouterr()
+
+
 def test_exit_code_independent_of_format(files, capsys):
     args = ["verify", "--system", files["e2"], "--operator", files["diag10"]]
     text_code = main(args + ["--format", "text"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fusionframes.fusion_systems import (
     coordinate_lines,
 )
 from fusionframes.generator import Flavor, GenSpec, Rng, generate
+from fusionframes.kfusion import kfusion_verify
 from fusionframes.subspaces import Subspace
 
 from oracles import random_unit_rows
@@ -166,6 +169,49 @@ def test_weight_without_finite_square_is_an_input_error():
         system.frame_operator()
     with pytest.raises(InputError, match="finite square"):
         system.fusion_bounds()
+
+
+def test_weight_with_underflowing_square_is_an_input_error():
+    system = coordinate_lines(2, [1e-170] * 2)  # w^2 = 1e-340 would zero S
+    for call in (system.frame_operator, system.fusion_bounds,
+                 lambda: kfusion_verify(system, np.eye(2))):
+        with pytest.raises(InputError, match="square below the normal float range"):
+            call()
+    assert coordinate_lines(2, [1.5e-154] * 2).fusion_bounds().verdict is Verdict.TIGHT
+
+
+def _rotated_lines(n, weights, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return WeightedSubspaceSystem([Member(Subspace.span(q[:, i]), w)
+                                   for i, w in enumerate(weights)])
+
+
+@pytest.mark.parametrize("ratio", [5e-10, 2e-10, 5e-11])
+def test_frame_verdict_is_decided_at_the_rank_cut(ratio):
+    # lambda_min / lambda_max = ratio, against the cut at 1e-10: the verdict
+    # is Frame exactly when S has full rank, exactly when K = I verifies
+    for system in (coordinate_lines(2, [1.0, math.sqrt(ratio)]),
+                   coordinate_lines(3, [3.0, 3.0 * math.sqrt(ratio), 2.0]),
+                   _rotated_lines(4, [1.0, 0.7, 0.5, math.sqrt(ratio)], 5)):
+        n = system.ambient_dim
+        bounds = system.fusion_bounds()
+        assert bounds.lower / bounds.upper == pytest.approx(ratio, rel=1e-6)
+        full_rank = system.spectrum().rank() == n
+        assert full_rank == (ratio > 1e-10)
+        assert bounds.verdict.is_frame() == full_rank == kfusion_verify(system, np.eye(n)).is_kff
+        assert bounds.verdict is (Verdict.FRAME if full_rank else Verdict.BESSEL_ONLY)
+
+
+def test_tol_decides_only_tight_and_parseval():
+    near_one = coordinate_lines(2, [1.0, math.sqrt(0.6)])  # bounds 0.6 and 1
+    assert near_one.fusion_bounds(0.45).verdict is Verdict.PARSEVAL
+    assert near_one.fusion_bounds(0.3).verdict is Verdict.FRAME
+    spread = coordinate_lines(2, [2.0, 2.0 * math.sqrt(0.4)])  # bounds 1.6 and 4
+    assert spread.fusion_bounds(0.7).verdict is Verdict.TIGHT
+    assert spread.fusion_bounds(0.5).verdict is Verdict.FRAME
+    # a lower bound below the cut is no frame, however loose the tol
+    deficient = coordinate_lines(2, [1.0, 1e-6])  # bounds 1e-12 and 1
+    assert deficient.fusion_bounds(2.0).verdict is Verdict.BESSEL_ONLY
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,6 +3,9 @@
 Inputs are drawn at graded scales, each at its own decimal exponent: the
 entries of each spanning matrix, K and f from 1e-150 to 1e150, and the
 weights from 1e-154 to 1e155, up to where S itself leaves the float range.
+Vector frames and the local frames of the local-to-global bridge have
+entries at 1e150 to 1e200 or 1e-200 to 1e-150, where S = sum f_i f_i.T
+does.
 The ambient dimension starts at 1, members may be zero subspaces, and some
 systems put an eigenvalue of S within 10x of the rank cut (1e-10 of the
 largest).  Every call must give a result or one of the
@@ -38,19 +41,27 @@ from fusionframes.kfusion import (
     kfusion_verify,
     refutation_witness,
 )
+from fusionframes.vector_frames import (
+    VectorFrame,
+    kframe_verify,
+    local_to_global_check,
+    vector_frame_bounds,
+)
 
 TYPED = (InputError, NotPSDError, PreconditionError, InadmissibleError, RangeInclusionError)
 
 exponents = st.integers(-150, 150)
+extreme_exponents = st.one_of(st.integers(-200, -150), st.integers(150, 200))
 weight_exponents = st.integers(-154, 154)
 mantissas = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def graded(draw, shape):
-    """A matrix of mantissas in [-1, 1] times 10**e, e in [-150, 150]."""
+def graded(draw, shape, scales=exponents):
+    """A matrix of mantissas in [-1, 1] times 10**e, e drawn from ``scales``
+    (by default [-150, 150])."""
     entries = draw(st.lists(mantissas, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
-    return np.array(entries).reshape(shape) * 10.0 ** draw(exponents)
+    return np.array(entries).reshape(shape) * 10.0 ** draw(scales)
 
 
 @st.composite
@@ -146,6 +157,49 @@ def test_extreme_scales_give_a_result_or_a_typed_error(instance):
                      ["decompose", *s, *kp, "--vector", paths["f"]],
                      ["transform", *s, *kp], ["local-global", *s]):
             _cli(argv)
+    runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+               if issubclass(w.category, RuntimeWarning)]
+    assert runtime == []
+
+
+@st.composite
+def frame_instances(draw):
+    """A vector frame and a system carrying local frames, each vector at its
+    own extreme scale, and an operator K."""
+    n = draw(st.integers(1, 4))
+    vectors = [draw(graded((n,), extreme_exponents)) for _ in range(draw(st.integers(1, 5)))]
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, n))
+        q, _ = np.linalg.qr(draw(graded((n, n))) + 2.0 * np.eye(n))
+        local = [q[:, :d] @ draw(graded((d,), extreme_exponents))
+                 for _ in range(draw(st.integers(1, 3)) if d else 0)]
+        members.append({"basis": linalg.matrix_to_json(q[:, :d]),
+                        "weight": draw(st.floats(1.0, 10.0)) * 10.0 ** draw(weight_exponents),
+                        "local_frame": [[float(x) for x in v] for v in local]})
+    k = np.eye(n) if draw(st.booleans()) else draw(graded((n, n)))
+    return vectors, {"ambient_dim": n, "members": members}, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(frame_instances())
+def test_extreme_scale_frames_give_a_result_or_a_typed_error(instance):
+    vectors, system_json, k = instance
+    frame = VectorFrame(len(k), vectors)
+    with warnings.catch_warnings(record=True) as caught, tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("always")
+        for call in (lambda: vector_frame_bounds(frame), lambda: kframe_verify(frame, k),
+                     lambda: local_to_global_check(
+                         WeightedSubspaceSystem.from_json(system_json))):
+            try:
+                call()
+            except InputError:
+                pass
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(system_json, fh)
+        _cli(["local-global", "--system", path])
     runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
                if issubclass(w.category, RuntimeWarning)]
     assert runtime == []

@@ -34,7 +34,6 @@ from fusionframes.kfusion import (
     kfusion_verify,
     range_transfer_check,
     refutation_witness,
-    verify_operator_bound,
 )
 from fusionframes.subspaces import Subspace
 from fusionframes.vector_frames import (
@@ -65,7 +64,6 @@ BAD_OPERATORS = {
 }
 
 TAKES_OPERATOR = {
-    "verify_operator_bound": lambda x: verify_operator_bound(SYSTEM.spectrum(), x),
     "kfusion_verify": lambda x: kfusion_verify(SYSTEM, x),
     "refutation_witness": lambda x: refutation_witness(SYSTEM, x),
     "atomic_decompose": lambda x: atomic_decompose(SYSTEM, x, F),
@@ -119,7 +117,6 @@ def _local_frame_system():
 
 TAKES_TOL = {
     "douglas_factor": lambda tol: douglas_factor(GOOD, GOOD, tol),
-    "verify_operator_bound": lambda tol: verify_operator_bound(SYSTEM.spectrum(), GOOD, tol),
     "kfusion_verify": lambda tol: kfusion_verify(SYSTEM, GOOD, tol),
     "refutation_witness": lambda tol: refutation_witness(SYSTEM, GOOD, tol),
     "atomic_decompose": lambda tol: atomic_decompose(SYSTEM, GOOD, F, tol),
