@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-Commands load systems/operators/vectors from JSON files, run one
-verification, construction, decomposition or suite, and emit a text or
-JSON report.  Exit codes: 0 verified/pass, 1 refuted or hypothesis
-failed, 2 unreadable or malformed input.
+Commands read systems, operators, vectors and GenSpecs from JSON files
+with the wire readers (``linalg.json_*``), run one verification,
+construction, decomposition or suite, and emit a text or JSON report.
+Exit codes: 0 verified/pass, 1 refuted or hypothesis failed, 2
+unreadable or malformed input.
 
 Text reports print bounds with 12 significant digits; JSON reports carry
 full binary64 values.
@@ -12,6 +13,7 @@ full binary64 values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -41,6 +43,8 @@ def _load_json(path: str):
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, deep nesting
+        raise InputError(f"{path}: unreadable JSON: {exc}") from None
 
 
 def _load_system(path: str) -> WeightedSubspaceSystem:
@@ -52,27 +56,24 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _load_vector(path: str) -> np.ndarray:
-    obj = _load_json(path)
-    if not isinstance(obj, list):
-        raise InputError(f"{path}: expected a JSON array of reals")
-    return linalg.as_vector(obj, path)
+    return linalg.json_vector(_load_json(path), path)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
+def _write(path: str, payload: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload + "\n")
 
 
 def _emit(report: dict, args, lines) -> None:
-    """Write the report as JSON or as the prepared text lines."""
-    if args.format == "json":
-        payload = json.dumps(report, indent=2)
-    else:
-        payload = "\n".join(lines)
+    """Write the report as JSON or as the prepared text lines, to ``--out``
+    when given and to stdout otherwise."""
+    payload = json.dumps(report, indent=2) if args.format == "json" else "\n".join(lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write(args.out, payload)
     else:
         print(payload)
 
@@ -240,58 +241,37 @@ def _cmd_gen(args) -> int:
     if args.spec:
         spec = GenSpec.from_json(_load_json(args.spec), name=args.spec)
         if args.seed is not None:
-            spec = GenSpec(
-                seed=args.seed,
-                ambient_dim=spec.ambient_dim,
-                member_count=spec.member_count,
-                dim_range=spec.dim_range,
-                weight_range=spec.weight_range,
-                flavor=spec.flavor,
-            )
+            spec = dataclasses.replace(spec, seed=args.seed)
     else:
-        kwargs = {
-            "seed": args.seed if args.seed is not None else 0,
-            "ambient_dim": args.dim,
-            "member_count": args.members,
-            "flavor": Flavor(args.flavor),
-        }
+        ranges = {}
         if args.dim_range:
-            kwargs["dim_range"] = _parse_range(args.dim_range, "--dim-range", int)
+            ranges["dim_range"] = _parse_range(args.dim_range, "--dim-range", int)
         if args.weight_range:
-            kwargs["weight_range"] = _parse_range(args.weight_range, "--weight-range", float)
-        spec = GenSpec(**kwargs)
-    spec.validate()
+            ranges["weight_range"] = _parse_range(args.weight_range, "--weight-range", float)
+        spec = GenSpec(0 if args.seed is None else args.seed, args.dim, args.members,
+                       flavor=Flavor(args.flavor), **ranges)
     system, k = generate(spec)
     if args.system_out:
-        with open(args.system_out, "w", encoding="utf-8") as fh:
-            json.dump(system.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write(args.system_out, json.dumps(system.to_json(), indent=2))
     if args.operator_out:
         if k is None:
             raise InputError(f"flavor {spec.flavor.value} produces no operator")
-        with open(args.operator_out, "w", encoding="utf-8") as fh:
-            json.dump(linalg.matrix_to_json(k), fh, indent=2)
-            fh.write("\n")
+        _write(args.operator_out, json.dumps(linalg.matrix_to_json(k), indent=2))
     if not (args.system_out or args.operator_out):
         report = {
             "spec": spec.to_json(),
             "system": system.to_json(),
             "operator": None if k is None else linalg.matrix_to_json(k),
         }
-        payload = json.dumps(report, indent=2)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _emit(report, args, [json.dumps(report, indent=2)])  # gen's text is its JSON
     return 0
 
 
 def _cmd_check_all(args) -> int:
-    results = suite.run_all(seed=args.seed if args.seed is not None else 1, scale=args.scale)
+    results = suite.run_all(seed=args.seed, scale=args.scale)
     failures = sum(0 if r.passed else 1 for r in results)
     report = {
-        "seed": args.seed if args.seed is not None else 1,
+        "seed": args.seed,
         "failures": failures,
         "checks": [r.to_json() for r in results],
     }
@@ -356,26 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="64-bit seed (overrides the spec file)")
     p.add_argument("--dim", type=int, default=8, help="ambient dimension")
     p.add_argument("--members", type=int, default=4, help="member count")
-    p.add_argument(
-        "--flavor",
-        default="arbitrary",
-        choices=[f.value for f in Flavor],
-    )
+    p.add_argument("--flavor", default="arbitrary", choices=[f.value for f in Flavor])
     p.add_argument("--dim-range", dest="dim_range", help="subspace dimensions lo:hi")
     p.add_argument("--weight-range", dest="weight_range", help="weights lo:hi")
     p.add_argument("--out", help="write the combined JSON document here")
     p.add_argument("--system-out", dest="system_out", help="write the system JSON here")
     p.add_argument("--operator-out", dest="operator_out", help="write the operator JSON here")
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="json",
-        help="accepted for uniformity; gen output is always JSON",
-    )
+    p.add_argument("--format", choices=("text", "json"), default="json",
+                   help="accepted for uniformity; gen output is always JSON")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("check-all", help="run the seeded property-suite corpus")
-    p.add_argument("--seed", type=int, help="master seed (default 1)")
+    p.add_argument("--seed", type=int, default=1, help="master seed (default %(default)s)")
     p.add_argument("--scale", type=float, default=1.0, help="trial count multiplier")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to this file")

@@ -63,8 +63,11 @@ def _invariance_defect(system: WeightedSubspaceSystem, projector) -> float:
 
 def _commutation(t, k, norm_t: float, norm_k: float, tol: float) -> PartResult:
     """The hypothesis TK = KT: ||TK - KT||_F <= tol * ||T|| ||K||, with the
-    relative commutator as margin."""
-    scale = max(norm_t * norm_k, 1e-300)
+    relative commutator as margin.  It is scale-invariant, so it is formed
+    on T and K scaled by powers of two (``linalg.unit_scaled``) and no
+    product over- or underflows."""
+    (t, et), (k, ek) = linalg.unit_scaled(t), linalg.unit_scaled(k)
+    scale = max(math.ldexp(norm_t, -et) * math.ldexp(norm_k, -ek), 1e-300)
     commutator = np.linalg.norm(t @ k - k @ t)
     return PartResult(bool(commutator <= tol * scale), commutator / scale)
 
@@ -109,10 +112,11 @@ def commuting_transform_construct(
     """Transform a verified system by a surjective operator commuting with
     K whose pseudo-inverse action leaves every member invariant.
 
-    Predicted bounds: A_pred = A / (||T||^2 ||T+||^2) and
-    B_pred = B * ||T+||^2 ||T||^2, with (A, B) the optimal bounds of the
-    input pair.  The input system must verify for K (PreconditionError
-    otherwise).
+    Predicted bounds: A_pred = A / c and B_pred = B * c, with (A, B) the
+    optimal bounds of the input pair and c = ||T||^2 ||T+||^2 =
+    (sigma_max / sigma_min)^2, formed once from the ratio of T's singular
+    values, so at any scale of T.  The input system must verify for K
+    (PreconditionError otherwise).
     """
     n = system.ambient_dim
     k = linalg.as_operator(k, n, "operator K")
@@ -121,14 +125,13 @@ def commuting_transform_construct(
     if not base.is_kff:
         raise PreconditionError("input system is refuted for this operator")
 
-    sv_t = linalg.singular_values(t)  # ||T||, the rank ratio and ||T+||
-    norm_t = float(sv_t[0])
-    hyp_commute = _commutation(t, k, norm_t, linalg.operator_norm(k), tol)
+    sv_t = linalg.singular_values(t)  # ||T|| and the rank ratio
+    hyp_commute = _commutation(t, k, float(sv_t[0]), linalg.operator_norm(k), tol)
 
     worst = _invariance_defect(system, linalg.pseudo_inverse(t) @ t)
     hyp_invariant = PartResult(worst <= tol, worst)
 
-    hyp_surjective = PartResult(*_full_rank(sv_t))
+    hyp_surjective = PartResult(*_full_rank(sv_t))  # margin sigma_min / sigma_max
 
     hypotheses = {
         "commutes": hyp_commute,
@@ -141,9 +144,9 @@ def commuting_transform_construct(
             transformed, hypotheses, True, None, None, None, None
         )
 
-    norm_t_pinv = linalg._pinv_norm(sv_t)
-    a_pred = base.optimal_lower / (norm_t ** 2 * norm_t_pinv ** 2)
-    b_pred = base.optimal_upper * (norm_t_pinv ** 2 * norm_t ** 2)
+    condition = hyp_surjective.margin ** -2  # ||T||^2 ||T+||^2 = (sigma_max / sigma_min)^2
+    a_pred = base.optimal_lower / condition
+    b_pred = base.optimal_upper * condition
     report = kfusion_verify(transformed, k, tol)
     slack = tol * max(1.0, b_pred)
     consistent = (

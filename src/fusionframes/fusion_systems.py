@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .subspaces import Subspace
+from .subspaces import Subspace, basis_from_json
 
 
 class Verdict(enum.Enum):
@@ -177,18 +177,16 @@ class WeightedSubspaceSystem:
 
     def check_bundle(self, bundle: CoefficientBundle) -> None:
         """Validate the membership invariant a_i in W_i, within
-        ``linalg.DEFAULT_VERDICT_TOL`` relative to the block's norm."""
+        ``linalg.DEFAULT_VERDICT_TOL`` relative to the block's norm, on each
+        block scaled by its own power of two (``linalg.unit_scaled``), so
+        neither the norm nor the residual over- or underflows."""
         blocks = self._bundle_array(bundle)
         for i, (m, block) in enumerate(zip(self.members, blocks)):
-            nb = np.linalg.norm(block)
-            if nb == 0.0:
-                continue
-            resid = float(m.subspace.residual(block))
+            block = linalg.unit_scaled(block)[0]
+            nb, resid = np.linalg.norm(block), float(m.subspace.residual(block))
             if resid > linalg.DEFAULT_VERDICT_TOL * nb:
-                raise InputError(
-                    f"bundle block {i} is outside its subspace "
-                    f"(relative residual {resid / nb:.3e})"
-                )
+                raise InputError(f"bundle block {i} is outside its subspace "
+                                 f"(relative residual {resid / nb:.3e})")
 
     def analysis_operator(self) -> np.ndarray:
         """The (m n) x n matrix vstack(w_i P_i) of the analysis operator, so
@@ -272,53 +270,21 @@ class WeightedSubspaceSystem:
 
     @classmethod
     def from_json(cls, obj, name: str = "system") -> "WeightedSubspaceSystem":
-        if not isinstance(obj, dict):
-            raise InputError(f"{name}: expected an object")
-        for key in ("ambient_dim", "members"):
-            if key not in obj:
-                raise InputError(f"{name}: missing field '{key}'")
-        n = obj["ambient_dim"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InputError(f"{name}.ambient_dim: expected a positive integer, got {n!r}")
-        raw_members = obj["members"]
-        if not isinstance(raw_members, list) or not raw_members:
-            raise InputError(f"{name}.members: expected a non-empty list")
+        """Parse {"ambient_dim": n, "members": [...]}: each member a ``basis``
+        (``basis_from_json``), a ``weight`` and optionally a ``local_frame``,
+        a list of length-n vectors (``linalg.json_vector``); the members a
+        non-empty list."""
+        obj = linalg.json_object(obj, name, ("ambient_dim", "members"))
+        n = linalg.json_int(obj["ambient_dim"], f"{name}.ambient_dim", 1)
         members = []
-        for i, entry in enumerate(raw_members):
+        for i, entry in enumerate(linalg.json_list(obj["members"], f"{name}.members")):
             where = f"{name}.members[{i}]"
-            if not isinstance(entry, dict):
-                raise InputError(f"{where}: expected an object")
-            if "basis" not in entry:
-                raise InputError(f"{where}: missing field 'basis'")
-            basis = linalg.matrix_from_json(entry["basis"], f"{where}.basis", min_cols=0)
-            if basis.shape[0] != n:
-                raise InputError(
-                    f"{where}.basis: has {basis.shape[0]} rows, expected {n}"
-                )
-            sub = Subspace.from_spanning(basis, ambient_dim=n)
-            if "weight" not in entry:
-                raise InputError(f"{where}: missing field 'weight'")
-            w = entry["weight"]
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise InputError(f"{where}.weight: expected a positive real, got {w!r}")
-            local = []
-            if "local_frame" in entry:
-                raw_local = entry["local_frame"]
-                if not isinstance(raw_local, list):
-                    raise InputError(f"{where}.local_frame: expected a list of vectors")
-                for j, vec in enumerate(raw_local):
-                    if not isinstance(vec, list) or len(vec) != n:
-                        raise InputError(
-                            f"{where}.local_frame[{j}]: expected a length-{n} vector"
-                        )
-                    for x in vec:
-                        if isinstance(x, bool) or not isinstance(x, (int, float)) \
-                                or not math.isfinite(x):
-                            raise InputError(
-                                f"{where}.local_frame[{j}]: entries must be finite reals"
-                            )
-                    local.append(np.array(vec, dtype=float))
-            members.append(Member(sub, w, tuple(local)))
+            entry = linalg.json_object(entry, where, ("basis", "weight"))
+            sub = basis_from_json(entry["basis"], n, f"{where}.basis")
+            w = linalg.json_real(entry["weight"], f"{where}.weight")
+            local = linalg.json_list(entry.get("local_frame", []), f"{where}.local_frame")
+            members.append(Member(sub, w, tuple(linalg.json_vector(
+                v, f"{where}.local_frame[{j}]", n) for j, v in enumerate(local))))
         return cls(members)
 
 

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +75,7 @@ _BLOCK_CACHE_SIZE = 32  # sample blocks kept by normal_block; the least recently
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
+    if linalg.json_int(seed, "seed", 0) > _U64_MAX:
         raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
@@ -134,14 +133,13 @@ def normal_block(seed: int, trials: int, n: int) -> np.ndarray:
     n)`` bit for bit, drawn once per (seed, trials, n) and shared read-only.
 
     The arguments are checked before the cache is read: the seed as by
-    ``Rng``, ``trials`` and ``n`` as non-negative ``int``s (a bool is not
-    one), so no key that merely compares equal, such as True for 1, reaches
-    the cache.  Raises InputError otherwise.
+    ``Rng``, ``trials`` and ``n`` by ``linalg.json_int`` as non-negative
+    ``int``s (a bool is not one), so no key that merely compares equal,
+    such as True for 1, reaches the cache.  Raises InputError otherwise.
     """
     _check_seed(seed)
     for name, value in (("trials", trials), ("n", n)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InputError(f"{name} must be a non-negative integer, got {value!r}")
+        linalg.json_int(value, name, 0)
     return _cached_block(int(seed), int(trials), int(n))
 
 
@@ -187,20 +185,16 @@ class GenSpec:
         return (1, max(1, self.ambient_dim // 2))
 
     def validate(self) -> None:
+        """Check every field with the wire readers (``linalg.json_int`` and
+        ``linalg.json_real``); raises InputError."""
         _check_seed(self.seed)
-        n = self.ambient_dim
-        if not isinstance(n, int) or n < 2:
-            raise InputError(f"ambient_dim must be an integer >= 2, got {n!r}")
-        m = self.member_count
-        if not isinstance(m, int) or m < 1:
-            raise InputError(f"member_count must be a positive integer, got {m!r}")
-        lo, hi = self.resolved_dim_range()
-        if not (isinstance(lo, int) and isinstance(hi, int)) or lo < 1 or hi < lo or hi > n:
+        n = linalg.json_int(self.ambient_dim, "ambient_dim", 2)
+        m = linalg.json_int(self.member_count, "member_count", 1)
+        lo, hi = (linalg.json_int(d, "dim_range", 1) for d in self.resolved_dim_range())
+        if hi < lo or hi > n:
             raise InputError(f"dim_range must satisfy 1 <= lo <= hi <= {n}, got ({lo}, {hi})")
-        wlo, whi = self.weight_range
-        if not (
-            math.isfinite(wlo) and math.isfinite(whi) and 0 < wlo <= whi
-        ):
+        wlo, whi = (linalg.json_real(w, "weight_range") for w in self.weight_range)
+        if not 0 < wlo <= whi:
             raise InputError(f"weight_range must satisfy 0 < lo <= hi, got ({wlo}, {whi})")
         if self.flavor in (Flavor.FUSION_FRAME, Flavor.IMAGE_COMPATIBLE) and m * hi < n:
             raise InputError(
@@ -209,45 +203,31 @@ class GenSpec:
             )
 
     def to_json(self) -> dict:
-        lo, hi = self.resolved_dim_range()
         return {
             "seed": self.seed,
             "ambient_dim": self.ambient_dim,
             "member_count": self.member_count,
-            "dim_range": [lo, hi],
-            "weight_range": [self.weight_range[0], self.weight_range[1]],
+            "dim_range": list(self.resolved_dim_range()),
+            "weight_range": list(self.weight_range),
             "flavor": self.flavor.value,
         }
 
     @classmethod
     def from_json(cls, obj, name: str = "genspec") -> "GenSpec":
-        if not isinstance(obj, dict):
-            raise InputError(f"{name}: expected an object")
-        if "seed" not in obj:
-            raise InputError(f"{name}: missing field 'seed'")
-        kwargs = {"seed": obj["seed"]}
-        if "ambient_dim" in obj:
-            kwargs["ambient_dim"] = obj["ambient_dim"]
-        if "member_count" in obj:
-            kwargs["member_count"] = obj["member_count"]
-        if "dim_range" in obj:
-            dr = obj["dim_range"]
-            if not isinstance(dr, list) or len(dr) != 2:
-                raise InputError(f"{name}.dim_range: expected [lo, hi]")
-            kwargs["dim_range"] = (dr[0], dr[1])
-        if "weight_range" in obj:
-            wr = obj["weight_range"]
-            if not isinstance(wr, list) or len(wr) != 2:
-                raise InputError(f"{name}.weight_range: expected [lo, hi]")
-            kwargs["weight_range"] = (wr[0], wr[1])
+        """Parse a GenSpec object: ``seed`` is required, the other fields
+        default; the values are checked by ``validate``."""
+        obj = linalg.json_object(obj, name, ("seed",))
+        kwargs = {key: obj[key] for key in ("seed", "ambient_dim", "member_count") if key in obj}
+        for key in ("dim_range", "weight_range"):  # [lo, hi]
+            if key in obj:
+                kwargs[key] = tuple(linalg.json_list(obj[key], f"{name}.{key}", 2))
         if "flavor" in obj:
             try:
                 kwargs["flavor"] = Flavor(obj["flavor"])
             except ValueError:
                 choices = ", ".join(f.value for f in Flavor)
-                raise InputError(
-                    f"{name}.flavor: expected one of {choices}, got {obj['flavor']!r}"
-                ) from None
+                raise InputError(f"{name}.flavor: expected one of {choices}, "
+                                 f"got {obj['flavor']!r}") from None
         spec = cls(**kwargs)
         spec.validate()
         return spec

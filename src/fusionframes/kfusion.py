@@ -67,22 +67,25 @@ def douglas_factor(u, v, tol: float = linalg.DEFAULT_VERDICT_TOL) -> np.ndarray:
     Returns T = v+ @ u on success.  Raises RangeInclusionError carrying the
     relative defect ||v v+ u - u|| / ||u|| when inclusion fails (defect
     above ``tol``); that defect certifies that no majorization
-    u u.T <= c * v v.T can hold.
+    u u.T <= c * v v.T can hold.  Both are formed on u and v scaled by
+    powers of two (``linalg.unit_scaled``), so no product overflows;
+    InputError when T itself is beyond the float range.
     """
     u = linalg.as_matrix(u, "factor numerator")
     v = linalg.as_matrix(v, "factor denominator")
     if u.shape[0] != v.shape[0]:
-        raise InputError(
-            f"row counts differ: {u.shape[0]} vs {v.shape[0]}"
-        )
+        raise InputError(f"row counts differ: {u.shape[0]} vs {v.shape[0]}")
     linalg.check_tol(tol)
+    (u, eu), (v, ev) = linalg.unit_scaled(u), linalg.unit_scaled(v)
     t = linalg.pseudo_inverse(v) @ u
     scale = linalg.norm(u)
-    if scale == 0.0:
-        return t  # zero operator factors through anything
-    defect = linalg.norm(v @ t - u) / scale
+    defect = linalg.norm(v @ t - u) / scale if scale else 0.0  # u = 0 factors through anything
     if defect > tol:
         raise RangeInclusionError(defect)
+    with np.errstate(over="ignore"):
+        t = np.ldexp(t, eu - ev)
+    if not np.isfinite(t).all():
+        raise InputError("the factor v+ u is beyond the float range")
     return t
 
 

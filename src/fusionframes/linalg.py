@@ -29,9 +29,14 @@ Algorithms, sized for desk-scale matrices (n <= 64 or so):
 Input validation is written once here, one function per kind of input,
 and raises InputError: ``as_matrix``, ``as_operator`` (a finite n x n
 matrix, for every public entry that takes K or T, and for any square
-input), ``as_vector`` (with an optional length) and ``check_tol`` (a verdict
-tolerance, finite and > 0, by default DEFAULT_VERDICT_TOL where the default
-is not ``kfusion.DEFAULT_TOL``).
+input), ``as_vector`` (with an optional length), ``check_positive`` and
+``check_tol`` (finite and > 0; a verdict tolerance defaults to
+DEFAULT_VERDICT_TOL where the default is not ``kfusion.DEFAULT_TOL``).
+JSON values are read the same way: ``json_object`` (an object with its
+required fields), ``json_list`` (an array, with an optional length),
+``json_int`` (a non-bool integer with a lower bound), ``json_real`` (a
+finite non-bool real) and ``json_vector`` (an array of such reals), the
+parts of ``matrix_from_json``.
 
 All functions are pure: arguments are never mutated and results are fresh
 arrays, safe to share across threads.  The one exception is a
@@ -42,6 +47,7 @@ powers of S, are computed once per spectrum and shared read-only.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -61,17 +67,23 @@ _MEMO_SIZE = 32  # values per Spectrum memo; the oldest is evicted first
 _MEMO_LOCK = threading.Lock()
 
 
+def _as_array(obj, name: str, ndim: int) -> np.ndarray:
+    """``obj`` as a finite float64 array of ``ndim`` dimensions."""
+    kind = ("vector", "matrix")[ndim - 1]
+    try:
+        a = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name}: not interpretable as a real {kind}: {exc}") from None
+    if a.ndim != ndim:
+        raise InputError(f"{name}: expected a {ndim}-D {kind}, got ndim={a.ndim}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise InputError(f"{name}: entries must be finite (no NaN/Inf)")
+    return a
+
+
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     """Validate ``obj`` as a finite real matrix and return it as float64."""
-    try:
-        m = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name}: not interpretable as a real matrix: {exc}") from None
-    if m.ndim != 2:
-        raise InputError(f"{name}: expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise InputError(f"{name}: entries must be finite (no NaN/Inf)")
-    return m
+    return _as_array(obj, name, 2)
 
 
 def as_operator(obj, n: int | None, name: str = "operator") -> np.ndarray:
@@ -87,14 +99,7 @@ def as_operator(obj, n: int | None, name: str = "operator") -> np.ndarray:
 def as_vector(obj, name: str = "vector", n: int | None = None) -> np.ndarray:
     """Validate ``obj`` as a finite real vector, of length ``n`` when given,
     and return it as float64."""
-    try:
-        v = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name}: not interpretable as a real vector: {exc}") from None
-    if v.ndim != 1:
-        raise InputError(f"{name}: expected a 1-D vector, got ndim={v.ndim}")
-    if v.size and not np.all(np.isfinite(v)):
-        raise InputError(f"{name}: entries must be finite (no NaN/Inf)")
+    v = _as_array(obj, name, 1)
     if n is not None and v.shape[0] != n:
         raise InputError(f"{name} has dimension {v.shape[0]}, expected {n}")
     return v
@@ -103,14 +108,19 @@ def as_vector(obj, name: str = "vector", n: int | None = None) -> np.ndarray:
 DEFAULT_VERDICT_TOL = 1e-9
 
 
-def check_tol(value) -> None:
-    """Validate a verdict tolerance ``tol``: finite and > 0."""
+def check_positive(value, name: str) -> None:
+    """Validate a parameter ``name`` that must be finite and > 0."""
     try:
         ok = math.isfinite(value) and value > 0
     except TypeError:
         ok = False
     if not ok:
-        raise InputError(f"tol must be finite and positive, got {value!r}")
+        raise InputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_tol(value) -> None:
+    """Validate a verdict tolerance ``tol``: finite and > 0."""
+    check_positive(value, "tol")
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +133,60 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": [float(x) for x in m.ravel()]}
 
 
-def matrix_from_json(obj, name: str = "matrix", min_cols: int = 1) -> np.ndarray:
-    """Parse the matrix wire object, rejecting wrong-length data and
-    non-finite values.  ``min_cols=0`` admits empty bases (zero subspaces)."""
+def json_object(obj, name: str, fields: tuple) -> dict:
+    """``obj`` as a JSON object carrying each of ``fields``."""
     if not isinstance(obj, dict):
-        raise InputError(f"{name}: expected an object with rows/cols/data")
-    for key in ("rows", "cols", "data"):
+        raise InputError(f"{name}: expected an object with {'/'.join(fields)}")
+    for key in fields:
         if key not in obj:
             raise InputError(f"{name}: missing field '{key}'")
-    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
-        raise InputError(f"{name}.rows: expected a positive integer, got {rows!r}")
-    if not isinstance(cols, int) or isinstance(cols, bool) or cols < min_cols:
-        raise InputError(f"{name}.cols: expected an integer >= {min_cols}, got {cols!r}")
-    if not isinstance(data, list):
-        raise InputError(f"{name}.data: expected a list of reals")
-    if len(data) != rows * cols:
-        raise InputError(
-            f"{name}.data: expected {rows * cols} entries for {rows}x{cols}, got {len(data)}"
-        )
-    out = np.empty(rows * cols, dtype=float)
-    for i, x in enumerate(data):
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-            raise InputError(f"{name}.data[{i}]: expected a finite real, got {x!r}")
-        out[i] = float(x)
-    return out.reshape(rows, cols)
+    return obj
+
+
+def json_int(x, name: str, lo: int) -> int:
+    """``x`` as an integer >= ``lo``: an ``int``, not a bool."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < lo:
+        raise InputError(f"{name}: expected an integer >= {lo}, got {x!r}")
+    return x
+
+
+def json_real(x, name: str) -> float:
+    """``x`` as a finite real: any ``numbers.Real`` but a bool (``np.float32``
+    is one, ``np.bool_`` is not), finite as a float."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise InputError(f"{name}: expected a finite real, got {x!r}")
+
+
+def json_list(obj, name: str, n: int | None = None) -> list:
+    """``obj`` as a JSON array, of length ``n`` when given."""
+    if not isinstance(obj, list):
+        raise InputError(f"{name}: expected a list")
+    if n is not None and len(obj) != n:
+        raise InputError(f"{name}: expected {n} entries, got {len(obj)}")
+    return obj
+
+
+def json_vector(obj, name: str, n: int | None = None) -> np.ndarray:
+    """``obj`` as a JSON array (``json_list``) of finite reals
+    (``json_real``), returned as float64."""
+    obj = json_list(obj, name, n)
+    return np.array([json_real(x, f"{name}[{i}]") for i, x in enumerate(obj)], dtype=float)
+
+
+def matrix_from_json(obj, name: str = "matrix", min_cols: int = 1) -> np.ndarray:
+    """Parse the matrix wire object: ``rows`` >= 1, ``cols`` >= ``min_cols``
+    (0 admits empty bases, the zero subspace) and ``data`` a vector of
+    rows * cols reals."""
+    obj = json_object(obj, name, ("rows", "cols", "data"))
+    rows = json_int(obj["rows"], f"{name}.rows", 1)
+    cols = json_int(obj["cols"], f"{name}.cols", min_cols)
+    return json_vector(obj["data"], f"{name}.data", rows * cols).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ comparison, since bases are not unique.
 Every span and image is formed by one range rule, ``_range``: the rank cut
 ``linalg._kept`` on the singular values, relative to ||T|| for an image
 T(W), the reference that decides whether T itself is surjective.
+
+A basis is read from JSON once, by ``basis_from_json``, for a subspace
+file and for each member of a system file alike.
 """
 
 from __future__ import annotations
@@ -174,20 +177,17 @@ class Subspace:
 
     @classmethod
     def from_json(cls, obj, name: str = "subspace") -> "Subspace":
-        """Parse {"ambient_dim": n, "basis": <matrix>}; the basis is
-        re-orthonormalized on load (``from_spanning``)."""
-        if not isinstance(obj, dict):
-            raise InputError(f"{name}: expected an object")
-        if "ambient_dim" not in obj:
-            raise InputError(f"{name}: missing field 'ambient_dim'")
-        n = obj["ambient_dim"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InputError(f"{name}.ambient_dim: expected a positive integer, got {n!r}")
-        if "basis" not in obj:
-            raise InputError(f"{name}: missing field 'basis'")
-        basis = linalg.matrix_from_json(obj["basis"], f"{name}.basis", min_cols=0)
-        if basis.shape[0] != n:
-            raise InputError(
-                f"{name}.basis: has {basis.shape[0]} rows, expected ambient_dim={n}"
-            )
-        return cls.from_spanning(basis, ambient_dim=n)
+        """Parse {"ambient_dim": n, "basis": <matrix>} (``basis_from_json``)."""
+        obj = linalg.json_object(obj, name, ("ambient_dim", "basis"))
+        n = linalg.json_int(obj["ambient_dim"], f"{name}.ambient_dim", 1)
+        return basis_from_json(obj["basis"], n, f"{name}.basis")
+
+
+def basis_from_json(obj, n: int, name: str) -> Subspace:
+    """The subspace of R^n spanned by the matrix wire object ``obj``: n rows,
+    any number of columns (none for the zero subspace), re-orthonormalized
+    on load (``Subspace.from_spanning``)."""
+    basis = linalg.matrix_from_json(obj, name, min_cols=0)
+    if basis.shape[0] != n:
+        raise InputError(f"{name}: has {basis.shape[0]} rows, expected ambient_dim={n}")
+    return Subspace.from_spanning(basis, ambient_dim=n)

@@ -564,9 +564,11 @@ _CHECKS = [
 def run_all(seed: int = 1, scale: float = 1.0):
     """Run the whole corpus; returns a list of CheckResult.
 
-    Check number i draws from substream i of ``Rng(seed)``; ``scale``
-    multiplies the per-check trial counts (minimum one trial).
+    Check number i draws from substream i of ``Rng(seed)``; ``scale``,
+    finite and > 0 (InputError otherwise), multiplies the per-check trial
+    counts (minimum one trial).
     """
+    linalg.check_positive(scale, "scale")
     master = Rng(seed)
     results = []
     for i, (fn, trials) in enumerate(_CHECKS):

@@ -135,7 +135,9 @@ def local_to_global_check(
     with the fusion system.
 
     Every positive-dimensional member must carry a local frame whose
-    vectors lie inside the member subspace (InputError otherwise); local
+    vectors lie inside the member subspace, within ``tol`` relative to each
+    vector's norm, and a zero member only zero vectors (InputError
+    otherwise); local
     bounds are ``vector_frame_bounds`` of the local frame in member
     coordinates.  C <= 1e-10 D, the rank cut ``linalg._kept`` whatever the
     scale (C = 0 for a local frame that does not span), is reported as a
@@ -151,7 +153,7 @@ def local_to_global_check(
         with np.errstate(over="ignore"):  # VectorFrame rejects an overflowed vector
             nv, coords, weighted = linalg.axis_norms(v, 1), v @ sub.basis, m.weight * v
         if sub.dim == 0:
-            if (nv > tol).any():
+            if nv.any():  # any nonzero vector lies wholly outside the zero subspace
                 raise InputError(f"member {i}: local vector outside the zero subspace")
             continue
         if not len(v):

@@ -1,12 +1,15 @@
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fusionframes.cli import main
+from fusionframes.cli import build_parser, main
 
 
 def write(path, obj):
@@ -69,6 +72,17 @@ def test_verify_truncated_json_exit_two(files, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("content", [b'{"ambient_dim": ' + b"1" * 5000 + b"}", b"\xff\xfe[",
+                                     b"[" * 100000 + b"]" * 100000],
+                         ids=["5000-digit-integer", "not-utf-8", "nested-100000-deep"])
+def test_unreadable_json_exit_two(files, capsys, content):
+    path = files["dir"] / "unreadable.json"
+    path.write_bytes(content)
+    assert main(["verify", "--system", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unreadable JSON" in captured.err
 
 
 def test_verify_weight_with_overflowing_square_exit_two(files, capsys):
@@ -430,6 +444,14 @@ def test_check_all_scaled_down(capsys):
     assert len(report["checks"]) >= 10
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1"])
+def test_check_all_rejects_a_scale_that_is_not_finite_and_positive(capsys, scale):
+    assert main(["check-all", f"--scale={scale}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scale must be finite and positive" in captured.err
+
+
 def test_out_flag_writes_file(files, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
@@ -459,3 +481,32 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+# The option strings of every subcommand: a new flag shows up as a diff here.
+CLI_OPTIONS = {
+    "verify": ["--format", "--operator", "--out", "--system", "--tol"],
+    "bounds": ["--format", "--out", "--system", "--tol"],
+    "decompose": ["--format", "--operator", "--out", "--system", "--tol", "--vector"],
+    "transform": ["--format", "--operator", "--operator-t", "--out", "--system", "--tol"],
+    "perturb": ["--format", "--operator", "--out", "--system", "--system-b", "--tol"],
+    "local-global": ["--format", "--out", "--system", "--tol"],
+    "gen": ["--dim", "--dim-range", "--flavor", "--format", "--members", "--operator-out",
+            "--out", "--seed", "--spec", "--system-out", "--weight-range"],
+    "check-all": ["--format", "--out", "--scale", "--seed"],
+}
+
+
+def test_cli_option_inventory_is_pinned_and_documented():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    found = {name: sorted(s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                          for s in a.option_strings)
+             for name, p in commands.items()}
+    assert found == CLI_OPTIONS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    undocumented = sorted({option for options in found.values() for option in options
+                           if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", section)})
+    assert undocumented == []

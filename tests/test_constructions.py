@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from fusionframes import linalg
+from fusionframes.cli import main
 from fusionframes.constructions import (
     PerturbationParams,
     basis_image_system,
@@ -470,3 +472,38 @@ def test_spans_and_images_never_use_gram_schmidt(monkeypatch):
     assert invertibility_consistency_check(lines, np.eye(2), SWAP).consistent
     assert commuting_transform_construct(lines, np.eye(2), SWAP).bounds_consistent
     assert operator_image_construct(coordinate_lines(3), np.diag([1.0, 1.0, 0.0])).consistent
+
+
+# (K scale, T scale): TK overflows, and ||T+||^2 = 1e400 overflows
+EXTREME_PAIRS = [(1e150, 1e200), (1e-150, 1e-200)]
+
+
+@pytest.mark.parametrize("k_scale, t_scale", EXTREME_PAIRS, ids=["huge", "tiny"])
+def test_commuting_transform_at_extreme_scale(k_scale, t_scale):
+    system = coordinate_lines(3, [1.0, 2.0, 3.0])
+    k, t = k_scale * np.eye(3), t_scale * np.diag([1.0, 2.0, 4.0])
+    rep = commuting_transform_construct(system, k, t)
+    assert rep.hypotheses["commutes"].ok and rep.hypotheses["commutes"].margin == 0.0
+    assert not rep.vacuous and rep.bounds_consistent
+    base = kfusion_verify(system, k)
+    # ||T||^2 ||T+||^2 = (4 / 1)^2 whatever the scale of T
+    assert rep.predicted_lower == base.optimal_lower / 16.0
+    assert rep.predicted_upper == base.optimal_upper * 16.0
+    inv = invertibility_consistency_check(system, k, t)
+    assert inv.branch == "both-verified" and inv.consistent
+
+
+@pytest.mark.parametrize("k_scale, t_scale", EXTREME_PAIRS, ids=["huge", "tiny"])
+def test_transform_command_at_extreme_scale(tmp_path, capsys, k_scale, t_scale):
+    paths = {}
+    for name, obj in (("s", coordinate_lines(3, [1.0, 2.0, 3.0]).to_json()),
+                      ("k", linalg.matrix_to_json(k_scale * np.eye(3))),
+                      ("t", linalg.matrix_to_json(t_scale * np.eye(3)))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    argv = ["transform", "--system", str(paths["s"]), "--operator", str(paths["k"]),
+            "--operator-t", str(paths["t"]), "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["hypotheses"]["commutes"] == {"ok": True, "margin": 0.0}
+    assert report["consistent"] is True

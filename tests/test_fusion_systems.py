@@ -155,6 +155,16 @@ def test_bundle_membership_validation():
         system.check_bundle(bad)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1.5e308])
+def test_bundle_membership_at_extreme_scale(scale):
+    # the block norms and residuals are taken without squaring an entry; at
+    # 1.5e308 the norm of a bad block is itself beyond the float range
+    system = coordinate_lines(2)
+    system.check_bundle(CoefficientBundle(scale * np.diag([1.0, 0.5])))
+    with pytest.raises(InputError, match="relative residual 7.071e-01"):
+        system.check_bundle(CoefficientBundle(scale * np.ones((2, 2))))
+
+
 def test_weights_must_be_positive():
     with pytest.raises(InputError):
         WeightedSubspaceSystem([Member(Subspace.full(2), 0.0)])

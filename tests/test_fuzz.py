@@ -11,6 +11,9 @@ systems put an eigenvalue of S within 10x of the rank cut (1e-10 of the
 largest).  Every call must give a result or one of the
 package's typed errors, and the CLI an exit code in {0, 1, 2}, with no
 traceback and no RuntimeWarning.
+
+The wire fuzz replaces one field of a valid system or GenSpec file with
+arbitrary JSON and holds the CLI to the same exit codes.
 """
 
 import contextlib
@@ -47,6 +50,7 @@ from fusionframes.vector_frames import (
     local_to_global_check,
     vector_frame_bounds,
 )
+from test_inputs import WIRE_GENSPEC, WIRE_SYSTEM, replaced_field
 
 TYPED = (InputError, NotPSDError, PreconditionError, InadmissibleError, RangeInclusionError)
 
@@ -203,3 +207,64 @@ def test_extreme_scale_frames_give_a_result_or_a_typed_error(instance):
     runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
                if issubclass(w.category, RuntimeWarning)]
     assert runtime == []
+
+
+# ---------------------------------------------------------------------------
+# Wire fuzz: one field of a valid file replaced by arbitrary JSON
+
+def json_values(integers=st.integers()):
+    """Arbitrary JSON values: null, bools, integers, floats (NaN and the
+    infinities too, which Python's json writes and reads), short strings,
+    and lists and objects of them."""
+    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=4)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+
+SYSTEM_FIELDS = [(), ("ambient_dim",), ("members",), ("members", 0), ("members", 0, "basis"),
+                 ("members", 0, "basis", "rows"), ("members", 0, "basis", "cols"),
+                 ("members", 0, "basis", "data"), ("members", 0, "basis", "data", 0),
+                 ("members", 0, "weight"), ("members", 0, "local_frame"),
+                 ("members", 0, "local_frame", 0), ("members", 0, "local_frame", 0, 0),
+                 ("members", 1, "weight")]
+GENSPEC_FIELDS = [(), ("seed",), ("ambient_dim",), ("member_count",), ("dim_range",),
+                  ("dim_range", 0), ("dim_range", 1), ("weight_range",), ("weight_range", 0),
+                  ("weight_range", 1), ("flavor",)]
+
+
+def _run_wire_file(obj, argv_for):
+    with warnings.catch_warnings(record=True) as caught, tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("always")
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        for argv in argv_for(path, tmp):
+            _cli(argv)
+    runtime = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+               if issubclass(w.category, RuntimeWarning)]
+    assert runtime == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(SYSTEM_FIELDS), json_values())
+@example(("members", 0, "weight"), 10 ** 400)  # an integer beyond the float range
+def test_system_file_with_any_field_replaced_exits_cleanly(path, value):
+    def argv_for(system, tmp):
+        eye = os.path.join(tmp, "eye.json")
+        with open(eye, "w", encoding="utf-8") as fh:
+            json.dump(linalg.matrix_to_json(np.eye(2)), fh)
+        return (["verify", "--system", system, "--operator", eye],
+                ["local-global", "--system", system])
+    _run_wire_file(replaced_field(WIRE_SYSTEM, path, value), argv_for)
+
+
+# The sizes of a GenSpec set the work of ``gen``, so its integers stay small
+# here: an ambient_dim of 10^6 is a valid spec whose instance does not fit
+# in memory, which no reader can rule out.
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(GENSPEC_FIELDS), json_values(st.integers(-3, 10)))
+def test_genspec_file_with_any_field_replaced_exits_cleanly(path, value):
+    _run_wire_file(replaced_field(WIRE_GENSPEC, path, value),
+                   lambda spec, tmp: (["gen", "--spec", spec],))

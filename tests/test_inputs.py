@@ -3,7 +3,9 @@
 Every public entry that takes an operator K or T rejects a malformed one
 with InputError (never numpy's ValueError or an IndexError), every entry
 with a verdict ``tol`` rejects a tolerance that is not finite and
-positive, and the subspace residual has one formula.
+positive, and the subspace residual has one formula.  Every numeric
+field of a system, subspace, matrix, vector or GenSpec file rejects a
+malformed JSON value with InputError, and the CLI with exit 2.
 """
 
 import ast
@@ -26,6 +28,7 @@ from fusionframes.constructions import (
 )
 from fusionframes.errors import InputError
 from fusionframes.fusion_systems import Member, WeightedSubspaceSystem, coordinate_lines
+from fusionframes.generator import GenSpec, generate
 from fusionframes.kfusion import (
     atomic_decompose,
     douglas_factor,
@@ -256,3 +259,162 @@ def test_local_vector_of_a_zero_member_is_checked(vector):
                                      Member(Subspace.full(2), 1.0, tuple(np.eye(2)))])
     with pytest.raises(InputError, match=r"local vector \[0\]\[0\]"):
         local_to_global_check(system)
+
+
+# ---------------------------------------------------------------------------
+# The JSON wire layer: one reader per kind of value
+
+WIRE_SYSTEM = {
+    "ambient_dim": 2,
+    "members": [
+        {"basis": {"rows": 2, "cols": 1, "data": [1.0, 0.0]}, "weight": 1.0,
+         "local_frame": [[1.0, 0.0]]},
+        {"basis": {"rows": 2, "cols": 1, "data": [0.0, 1.0]}, "weight": 2.0,
+         "local_frame": [[0.0, 1.0]]},
+    ],
+}
+WIRE_SUBSPACE = {"ambient_dim": 2, "basis": {"rows": 2, "cols": 1, "data": [1.0, 1.0]}}
+WIRE_MATRIX = {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}
+WIRE_VECTOR = [1.0, -1.0]
+WIRE_GENSPEC = {"seed": 1, "ambient_dim": 4, "member_count": 3, "dim_range": [1, 2],
+                "weight_range": [0.5, 2.0], "flavor": "k-fusion-frame"}
+WIRE_DOCS = {"system": WIRE_SYSTEM, "subspace": WIRE_SUBSPACE, "matrix": WIRE_MATRIX,
+             "vector": WIRE_VECTOR, "genspec": WIRE_GENSPEC}
+WIRE_READERS = {
+    "system": WeightedSubspaceSystem.from_json,
+    "subspace": Subspace.from_json,
+    "matrix": linalg.matrix_from_json,
+    "vector": lambda obj: linalg.json_vector(obj, "vector"),
+    "genspec": GenSpec.from_json,
+}
+
+# each malformed value as JSON text: 1e400 parses as inf
+NOT_A_NUMBER = {"bool": "true", "string": '"1"', "null": "null", "nested-list": "[1.0]",
+                "nan": "NaN", "1e400": "1e400"}
+ZERO, NEGATIVE = {"zero": "0"}, {"negative": "-1"}
+# every numeric field: (kind, path, the values beyond NOT_A_NUMBER that it rejects)
+NUMERIC_FIELDS = [
+    ("system", ("ambient_dim",), {**ZERO, **NEGATIVE}),
+    ("system", ("members", 0, "basis", "rows"), {**ZERO, **NEGATIVE}),
+    ("system", ("members", 0, "basis", "cols"), NEGATIVE),  # 0 columns: the zero subspace
+    ("system", ("members", 0, "basis", "data", 0), {}),
+    ("system", ("members", 0, "weight"), {**ZERO, **NEGATIVE}),
+    ("system", ("members", 0, "local_frame", 0, 0), {}),
+    ("subspace", ("ambient_dim",), {**ZERO, **NEGATIVE}),
+    ("subspace", ("basis", "rows"), {**ZERO, **NEGATIVE}),
+    ("subspace", ("basis", "cols"), NEGATIVE),
+    ("subspace", ("basis", "data", 1), {}),
+    ("matrix", ("rows",), {**ZERO, **NEGATIVE}),
+    ("matrix", ("cols",), {**ZERO, **NEGATIVE}),
+    ("matrix", ("data", 3), {}),
+    ("vector", (0,), {}),
+    ("genspec", ("seed",), NEGATIVE),  # seed 0 is a seed
+    ("genspec", ("ambient_dim",), {**ZERO, **NEGATIVE}),
+    ("genspec", ("member_count",), {**ZERO, **NEGATIVE}),
+    ("genspec", ("dim_range", 0), {**ZERO, **NEGATIVE}),
+    ("genspec", ("dim_range", 1), {**ZERO, **NEGATIVE}),
+    ("genspec", ("weight_range", 0), {**ZERO, **NEGATIVE}),
+    ("genspec", ("weight_range", 1), {**ZERO, **NEGATIVE}),
+]
+MALFORMED = [(kind, path, label, text) for kind, path, extra in NUMERIC_FIELDS
+             for label, text in {**NOT_A_NUMBER, **extra}.items()]
+
+
+def replaced_field(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` (the whole document for
+    an empty path) replaced by ``value``."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _malformed_text(kind, path, text):
+    """The valid document of ``kind`` as JSON text, with the value at
+    ``path`` replaced by the JSON text ``text``."""
+    doc = replaced_field(WIRE_DOCS[kind], path, "@MALFORMED@")
+    return json.dumps(doc).replace('"@MALFORMED@"', text)
+
+
+def _wire_id(case):
+    kind, path, label, _ = case
+    return f"{kind}.{'.'.join(map(str, path))}={label}"
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=_wire_id)
+def test_malformed_number_is_an_input_error(case):
+    kind, path, _, text = case
+    with pytest.raises(InputError) as exc:
+        WIRE_READERS[kind](json.loads(_malformed_text(kind, path, text)))
+    assert type(exc.value) is InputError
+
+
+@pytest.fixture
+def wire_files(tmp_path):
+    return {kind: _write(tmp_path / f"{kind}.json", doc) for kind, doc in WIRE_DOCS.items()}
+
+
+def _wire_command(files, kind, path):
+    """The command that reads a file of ``kind`` at ``path``, the others valid."""
+    files = {**files, kind: path}
+    return {
+        "system": ["verify", "--system", files["system"]],
+        "matrix": ["verify", "--system", files["system"], "--operator", files["matrix"]],
+        "vector": ["decompose", "--system", files["system"], "--operator", files["matrix"],
+                   "--vector", files["vector"]],
+        "genspec": ["gen", "--spec", files["genspec"]],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["system", "matrix", "vector", "genspec"])
+def test_valid_wire_files_exit_zero(wire_files, capsys, kind):
+    assert main(_wire_command(wire_files, kind, wire_files[kind])) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", [c for c in MALFORMED if c[0] != "subspace"], ids=_wire_id)
+def test_malformed_number_in_a_file_exits_two(wire_files, tmp_path, capsys, case):
+    kind, path, _, text = case
+    bad = tmp_path / "malformed.json"
+    bad.write_text(_malformed_text(kind, path, text))
+    assert main(_wire_command(wire_files, kind, str(bad))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_genspec_with_numpy_float32_weights_validates():
+    spec = GenSpec(seed=3, weight_range=(np.float32(0.5), np.float32(2.0)))
+    spec.validate()
+    assert len(generate(spec)[0]) == spec.member_count
+
+
+# values a reader must hand on unchanged: integers, signed zero, subnormals,
+# the float extremes and an integer above 2^53
+EXACT_VALUES = [0, -0.0, 1, -3, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                2 ** 53 + 1, 0.1, -1e-300]
+
+
+def test_readers_parse_every_value_bit_for_bit():
+    data = EXACT_VALUES + [1.0, 2.0]
+    expected = np.array(data, dtype=float)
+    m = linalg.matrix_from_json({"rows": 3, "cols": 4, "data": data})
+    assert m.tobytes() == expected.reshape(3, 4).tobytes()
+    assert linalg.json_vector(data, "v").tobytes() == expected.tobytes()
+    local = WeightedSubspaceSystem.from_json({"ambient_dim": 12, "members": [
+        {"basis": {"rows": 12, "cols": 1, "data": data}, "weight": 1, "local_frame": [data]},
+    ]}).members[0].local_frame[0]
+    assert local.tobytes() == expected.tobytes()
+
+
+def test_basis_reader_spans_the_data_bit_for_bit():
+    basis = WIRE_SUBSPACE["basis"]
+    expected = Subspace.from_spanning(np.array(basis["data"]).reshape(2, 1)).basis.tobytes()
+    assert Subspace.from_json(WIRE_SUBSPACE).basis.tobytes() == expected
+    system = WeightedSubspaceSystem.from_json(
+        {"ambient_dim": 2, "members": [{"basis": basis, "weight": 1.0}]})
+    assert system.members[0].subspace.basis.tobytes() == expected

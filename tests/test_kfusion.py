@@ -53,6 +53,19 @@ def test_douglas_row_count_mismatch():
         douglas_factor(np.eye(2), np.eye(3))
 
 
+def test_douglas_factor_at_extreme_scale():
+    # u and v far apart in scale: v+ u is formed on both scaled by powers of two
+    np.testing.assert_allclose(douglas_factor(1e200 * np.eye(2), 1e100 * np.eye(2)),
+                               1e100 * np.eye(2), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(douglas_factor(1e-200 * np.eye(2), 1e100 * np.eye(2)),
+                               1e-300 * np.eye(2), rtol=1e-15, atol=0.0)
+    with pytest.raises(RangeInclusionError):
+        douglas_factor(1e200 * np.diag([0.0, 1.0]), 1e-200 * np.diag([1.0, 0.0]))
+    # a factor beyond the float range
+    with pytest.raises(InputError, match="beyond the float range"):
+        douglas_factor(1e200 * np.eye(2), 1e-200 * np.eye(2))
+
+
 def test_verify_single_line_matched_operator():
     system = WeightedSubspaceSystem([Member(Subspace.span([1.0, 0.0]), 1.0)])
     rep = kfusion_verify(system, np.diag([1.0, 0.0]))

@@ -299,3 +299,20 @@ def test_vector_frame_validation():
         VectorFrame(2, [np.array([1.0, 0.0, 0.0])])
     with pytest.raises(InputError):
         kframe_verify(VectorFrame(2, [np.array([1.0, 0.0])]), np.eye(3))
+
+
+def _zero_member_system(vector):
+    return WeightedSubspaceSystem([Member(Subspace.zero(2), 1.0, (np.array(vector),)),
+                                   Member(Subspace.full(2), 1.0, tuple(np.eye(2)))])
+
+
+@pytest.mark.parametrize("norm", [1e-10, 1e-300])
+def test_every_nonzero_local_vector_of_a_zero_member_is_rejected(norm):
+    # a nonzero vector lies wholly outside the zero subspace, however short
+    with pytest.raises(InputError, match="outside the zero subspace"):
+        local_to_global_check(_zero_member_system([norm, 0.0]))
+
+
+def test_zero_local_vector_of_a_zero_member_is_accepted():
+    rep = local_to_global_check(_zero_member_system([0.0, -0.0]))
+    assert rep.c == rep.d == 1.0 and not rep.local_failure
