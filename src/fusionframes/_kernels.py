@@ -2,8 +2,12 @@
 
 The two Jacobi kernels are vectorized with numpy: they visit the pairs in
 the round-robin ordering of Brent and Luk, whose every step is a set of
-n/2 disjoint pairs, so one step rotates all of them with a few array
-operations.  The PRNG is plain Python on Python integers masked to 64
+n/2 disjoint pairs, so one step rotates all of them at once.  A step
+gathers the p and q halves of its pairs as one stacked array
+X = (x_p, x_q), forms X * (c, c) + X_swapped * (-s, s) and scatters it
+back, with the same IEEE operations as c x_p - s x_q and s x_p + c x_q
+taken half by half, so the results are those of the per-pair formulas
+bit for bit.  The PRNG is plain Python on Python integers masked to 64
 bits, the update equations of the generator module: one scalar
 xorshift64* step for single draws, and the normal fill, which inlines the
 same step in its loop, collects its values in a list and stores them into
@@ -32,14 +36,23 @@ _SM_M2 = 0x94D049BB133111EB
 _INV53 = 2.0 ** -53
 
 
+# Turns the sines s of a step into the (-s, s) of its stacked halves; -s is exact.
+_SIGNS = np.array([[-1.0], [1.0]])
+_SIGNS.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=None)
 def _round_robin(n):
     """Brent-Luk round-robin schedule for indices 0..n-1, cached per n.
 
-    Returns a tuple of steps (p, q): read-only integer index arrays with
-    p < q elementwise whose pairs are disjoint within a step, and every
-    pair p < q occurs in exactly one step.  That is n - 1 steps for even n
-    and n steps for odd n (one index sits out each step); none for n <= 1.
+    Returns a tuple of steps (P, flat) of read-only integer arrays.  P is
+    2 x k: its rows p = P[0] and q = P[1] hold the step's k disjoint pairs,
+    p < q elementwise, so P[::-1] holds them swapped.  ``flat`` is 4 x k:
+    the flat indices of a_pp, a_qq, a_pq and a_qp of the matrix A in the
+    work array of ``jacobi_eigh`` (row j of an n x 2n C-ordered array holds
+    column j of A).  Every pair p < q occurs in exactly one step.  That is
+    n - 1 steps for even n and n steps for odd n (one index sits out each
+    step); none for n <= 1.
     """
     size = n + n % 2  # odd n: a phantom index n, whose pairs are dropped
     half = size // 2
@@ -48,10 +61,12 @@ def _round_robin(n):
     for _ in range(size - 1):
         lo = np.minimum(ring[:half], ring[::-1][:half])
         hi = np.maximum(ring[:half], ring[::-1][:half])
-        step = (lo[hi < n], hi[hi < n])
-        for idx in step:
+        p, q = lo[hi < n], hi[hi < n]
+        pairs = np.array([p, q])
+        flat = np.array([p * (2 * n + 1), q * (2 * n + 1), q * 2 * n + p, p * 2 * n + q])
+        for idx in (pairs, flat):
             idx.flags.writeable = False
-        steps.append(step)
+        steps.append((pairs, flat))
         ring = np.concatenate([ring[:1], ring[-1:], ring[1:-1]])
     return tuple(steps)
 
@@ -74,38 +89,37 @@ def _rotation(d, off):
 def jacobi_eigh(a, sweep_tol, max_sweeps):
     """Jacobi diagonalization of the symmetric matrix ``a`` (modified in
     place).  Returns (diagonal, accumulated rotations); eigenvalues are
-    unsorted.  Sweeps use the round-robin ordering, each step rotating n/2
-    disjoint pairs at once, and stop once the off-diagonal Frobenius norm
-    drops below sweep_tol times the Frobenius norm of the input."""
+    unsorted.  Sweeps use the round-robin ordering and stop once the
+    off-diagonal Frobenius norm drops below sweep_tol times the Frobenius
+    norm of the input.  Each step rotates its n/2 disjoint pairs at once:
+    one gather, one update and one scatter of the stacked p and q columns
+    of A and V, and the same for the rows of A."""
     n = a.shape[0]
     scale = np.sqrt(np.sum(a * a))
     if scale == 0.0:
         return np.zeros(n), np.eye(n)
-    # The rotations act on the columns of A and V alike: stack V under A.
-    work = np.vstack([a, np.eye(n)])
-    top = work[:n]
-    upper = np.triu_indices(n, 1)
+    # Row j of ``work`` is column j of A followed by column j of V, so the
+    # rotations of the columns of A and V act on rows of ``work``, and
+    # those of the rows of A on columns of ``top`` (the transpose of A).
+    work = np.hstack([a.T, np.eye(n)])
+    top = work[:, :n]
+    upper = np.triu_indices(n, 1)[::-1]
     steps = _round_robin(n)
     for _ in range(max_sweeps):
         off = np.sqrt(2.0 * np.sum(np.square(top[upper])))
         if off <= sweep_tol * scale:
             break
-        for p, q in steps:
-            c, s = _rotation(top[q, q] - top[p, p], top[p, q])
-            wp = work[:, p]
-            wq = work[:, q]
-            work[:, p] = c * wp - s * wq
-            work[:, q] = s * wp + c * wq
-            c = c[:, None]
-            s = s[:, None]
-            ap = top[p]
-            aq = top[q]
-            top[p] = c * ap - s * aq
-            top[q] = s * ap + c * aq
-            top[p, q] = 0.0  # zero in exact arithmetic: drop the rounding residue
-            top[q, p] = 0.0
-    a[...] = top
-    return a.diagonal().copy(), work[n:]
+        for pq, flat in steps:
+            entries = work.take(flat)
+            c, s = _rotation(entries[1] - entries[0], entries[2])
+            s = s * _SIGNS
+            x = work[pq]
+            work[pq] = x * c[:, None] + x[::-1] * s[:, :, None]
+            x = top[:, pq]
+            top[:, pq] = x * c + x[:, ::-1] * s
+            work.put(flat[2:], 0.0)  # a_pq, a_qp: zero in exact arithmetic
+    a[...] = top.T
+    return a.diagonal().copy(), work[:, n:].T
 
 
 def onesided_jacobi(b, v, pair_tol, max_sweeps):
@@ -115,31 +129,27 @@ def onesided_jacobi(b, v, pair_tol, max_sweeps):
     of the original B0 is read off from column norms.  Sweeps use the
     round-robin ordering; a pair is rotated only when
     |gamma| > pair_tol * sqrt(alpha * beta), and the sweeps stop after one
-    that rotates nothing."""
+    that rotates nothing.  Each step gathers its stacked p and q columns
+    once, takes alpha, beta and gamma in one reduction, and rotates them in
+    one update and one scatter."""
     m = b.shape[0]
     # Row j of ``work`` is column j of b followed by column j of v.
     work = np.hstack([b.T, v.T])
     steps = _round_robin(b.shape[1])
     for _ in range(max_sweeps):
         rotated = False
-        for p, q in steps:
-            wp = work[p]
-            wq = work[q]
-            bp = wp[:, :m]
-            bq = wq[:, :m]
-            alpha = np.einsum("ij,ij->i", bp, bp)
-            beta = np.einsum("ij,ij->i", bq, bq)
-            gamma = np.einsum("ij,ij->i", bp, bq)
+        for pq, _ in steps:
+            x = work[pq]
+            bx = x[:, :, :m]
+            gram = np.einsum("aij,bij->abi", bx, bx)
+            alpha, beta, gamma = gram[0, 0], gram[1, 1], gram[0, 1]
             act = np.abs(gamma) > pair_tol * np.sqrt(alpha * beta)
             if not act.any():
                 continue
             rotated = True
             # Pairs that pass the test get off = 0, hence the identity.
             c, s = _rotation(beta - alpha, np.where(act, gamma, 0.0))
-            c = c[:, None]
-            s = s[:, None]
-            work[p] = c * wp - s * wq
-            work[q] = s * wp + c * wq
+            work[pq] = x * c[:, None] + x[::-1] * (s * _SIGNS)[:, :, None]
         if not rotated:
             break
     b[...] = work[:, :m].T

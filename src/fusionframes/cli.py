@@ -63,9 +63,13 @@ def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def _write(path: str, payload: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload + "\n")
+def _write(path: str, text: str, mode: str = "w") -> None:
+    """Write ``text`` to ``path``; an OSError becomes InputError (exit 2)."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _emit(report: dict, args, lines) -> None:
@@ -73,7 +77,7 @@ def _emit(report: dict, args, lines) -> None:
     when given and to stdout otherwise."""
     payload = json.dumps(report, indent=2) if args.format == "json" else "\n".join(lines)
     if args.out:
-        _write(args.out, payload)
+        _write(args.out, payload + "\n")
     else:
         print(payload)
 
@@ -252,11 +256,11 @@ def _cmd_gen(args) -> int:
                        flavor=Flavor(args.flavor), **ranges)
     system, k = generate(spec)
     if args.system_out:
-        _write(args.system_out, json.dumps(system.to_json(), indent=2))
+        _write(args.system_out, json.dumps(system.to_json(), indent=2) + "\n")
     if args.operator_out:
         if k is None:
             raise InputError(f"flavor {spec.flavor.value} produces no operator")
-        _write(args.operator_out, json.dumps(linalg.matrix_to_json(k), indent=2))
+        _write(args.operator_out, json.dumps(linalg.matrix_to_json(k), indent=2) + "\n")
     if not (args.system_out or args.operator_out):
         report = {
             "spec": spec.to_json(),
@@ -268,6 +272,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check_all(args) -> int:
+    if args.out:  # appending nothing: an unwritable path fails before any check runs
+        _write(args.out, "", "a")
     results = suite.run_all(seed=args.seed, scale=args.scale)
     failures = sum(0 if r.passed else 1 for r in results)
     report = {

@@ -68,6 +68,16 @@ class Member:
     local_frame: tuple = ()  # tuple of ambient vectors inside the subspace
 
 
+def finite_square(x: float, what: str) -> float:
+    """x^2, which must be a finite normal float, as each w_i^2 of
+    S = sum_i w_i^2 P_i must be (InputError naming ``what`` otherwise)."""
+    x2 = x * x
+    if not sys.float_info.min <= x2 < math.inf:
+        raise InputError(f"{what} {x} has " + (
+            "no finite square" if x2 > 1 else "a square below the normal float range"))
+    return x2
+
+
 def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         raise InputError(f"{what} beyond the float range")
@@ -205,10 +215,7 @@ class WeightedSubspaceSystem:
         if self._frame_op is None:
             s = np.zeros((self.ambient_dim, self.ambient_dim))
             for i, m in enumerate(self.members):
-                w2 = m.weight * m.weight
-                if not sys.float_info.min <= w2 < math.inf:
-                    raise InputError(f"member {i}: weight {m.weight} has " + (
-                        "no finite square" if w2 > 1 else "a square below the normal float range"))
+                w2 = finite_square(m.weight, f"member {i}: weight")
                 with np.errstate(over="ignore", invalid="ignore"):
                     s += w2 * m.subspace.projection()
             _check_finite(s, "the frame operator sum_i w_i^2 P_i is")

@@ -72,11 +72,22 @@ from .subspaces import Subspace
 _U64_MAX = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _BLOCK_CACHE_SIZE = 32  # sample blocks kept by normal_block; the least recently used goes first
+# The largest ambient_dim and member_count a GenSpec may ask for: far above
+# every instance the suite, the tests and the benchmark draw (n <= 22), and
+# small enough that the bases of any valid spec, at most MAX_SIZE^3 floats
+# (128 MB), fit in memory.
+MAX_SIZE = 256
 
 
 def _check_seed(seed) -> None:
     if linalg.json_int(seed, "seed", 0) > _U64_MAX:
         raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+
+
+def _check_size(x, name: str, lo: int) -> int:
+    if linalg.json_int(x, name, lo) > MAX_SIZE:
+        raise InputError(f"{name} must be at most {MAX_SIZE}, got {x!r}")
+    return x
 
 
 class Rng:
@@ -186,10 +197,11 @@ class GenSpec:
 
     def validate(self) -> None:
         """Check every field with the wire readers (``linalg.json_int`` and
-        ``linalg.json_real``); raises InputError."""
+        ``linalg.json_real``), and ambient_dim and member_count against
+        MAX_SIZE, before anything is drawn; raises InputError."""
         _check_seed(self.seed)
-        n = linalg.json_int(self.ambient_dim, "ambient_dim", 2)
-        m = linalg.json_int(self.member_count, "member_count", 1)
+        n = _check_size(self.ambient_dim, "ambient_dim", 2)
+        m = _check_size(self.member_count, "member_count", 1)
         lo, hi = (linalg.json_int(d, "dim_range", 1) for d in self.resolved_dim_range())
         if hi < lo or hi > n:
             raise InputError(f"dim_range must satisfy 1 <= lo <= hi <= {n}, got ({lo}, {hi})")

@@ -12,13 +12,14 @@ sandwiched between the fusion bounds times the extreme local bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .fusion_systems import BoundsReport, Member, WeightedSubspaceSystem
+from .fusion_systems import BoundsReport, Member, WeightedSubspaceSystem, finite_square
 from .kfusion import DEFAULT_TOL, KFusionReport, kfusion_verify
 from .subspaces import Subspace
 
@@ -128,6 +129,15 @@ class LocalGlobalReport:
         }
 
 
+def _check_line(f: np.ndarray, what: str) -> None:
+    """The checks a VectorFrame's line system makes of the vector ``f``:
+    finite entries and, unless f = 0, a norm whose square is a finite
+    normal float; InputError naming ``what``."""
+    w = linalg.norm(f) if np.isfinite(f).all() else math.inf
+    if w:
+        finite_square(w, what)
+
+
 def local_to_global_check(
     system: WeightedSubspaceSystem, tol: float = linalg.DEFAULT_VERDICT_TOL
 ) -> LocalGlobalReport:
@@ -163,7 +173,13 @@ def local_to_global_check(
             j = int(np.argmax(resid > tol))
             raise InputError(f"member {i}: local vector {j} lies outside its subspace "
                              f"(relative residual {resid[j]:.3e})")
-        local = vector_frame_bounds(VectorFrame(sub.dim, coords), tol)
+        for j in range(len(v)):  # what the line systems below check, naming the user's vector
+            _check_line(coords[j], f"member {i}: local vector {j}: norm")
+            _check_line(weighted[j], f"member {i}: local vector {j}: weighted norm")
+        try:
+            local = vector_frame_bounds(VectorFrame(sub.dim, coords), tol)
+        except InputError as exc:  # S beyond the float range
+            raise InputError(f"member {i}: local frame: {exc}") from None
         local_lower.append(local.lower)
         local_upper.append(local.upper)
         global_vectors += list(weighted)
@@ -172,8 +188,10 @@ def local_to_global_check(
     c = min(local_lower) if local_lower else 0.0
     d = max(local_upper) if local_upper else 0.0
     fusion = system.fusion_bounds(tol)
-    global_frame = VectorFrame(n, global_vectors)
-    global_bounds = vector_frame_bounds(global_frame, tol)
+    try:
+        global_bounds = vector_frame_bounds(VectorFrame(n, global_vectors), tol)
+    except InputError as exc:
+        raise InputError(f"global frame: {exc}") from None
     local_failure = not linalg._kept(np.array([c]), d)[0]
     equivalent = interval_ok = None  # a local failure makes the comparison vacuous
     if not local_failure:

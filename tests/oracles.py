@@ -4,6 +4,12 @@ Everything here routes through numpy.linalg (LAPACK) and never through
 the package's own Jacobi/factorization code, so each comparison is a
 genuine two-route check.  The suite module ships similar helpers for the
 CLI corpus; this copy stays package-free on purpose.
+
+The one exception is the last section: a frozen copy of the Jacobi
+kernels as they were written before their steps were fused, one
+rotation formula per pair half.  It is a bit-for-bit oracle for
+``_kernels.jacobi_eigh`` and ``_kernels.onesided_jacobi``, not a second
+code path of the package.
 """
 
 import math
@@ -99,3 +105,89 @@ def random_unit_rows(rng, count, dim):
     norms = np.linalg.norm(f, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return f / norms
+
+
+# ---------------------------------------------------------------------------
+# Per-pair Jacobi kernels: the fused kernels must match these bit for bit
+
+
+def _per_pair_schedule(n):
+    """Brent-Luk round robin as steps (p, q) of index arrays, p < q."""
+    size = n + n % 2
+    half = size // 2
+    ring = np.arange(size)
+    steps = []
+    for _ in range(size - 1):
+        lo = np.minimum(ring[:half], ring[::-1][:half])
+        hi = np.maximum(ring[:half], ring[::-1][:half])
+        steps.append((lo[hi < n], hi[hi < n]))
+        ring = np.concatenate([ring[:1], ring[-1:], ring[1:-1]])
+    return steps
+
+
+def _per_pair_rotation(d, off):
+    half = 0.5 * d
+    den = np.abs(half) + np.hypot(half, off)
+    t = np.where(d >= 0.0, off, -off) / np.where(den > 0.0, den, 1.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c, t * c
+
+
+def per_pair_jacobi_eigh(a, sweep_tol, max_sweeps):
+    n = a.shape[0]
+    scale = np.sqrt(np.sum(a * a))
+    if scale == 0.0:
+        return np.zeros(n), np.eye(n)
+    work = np.vstack([a, np.eye(n)])
+    top = work[:n]
+    upper = np.triu_indices(n, 1)
+    steps = _per_pair_schedule(n)
+    for _ in range(max_sweeps):
+        off = np.sqrt(2.0 * np.sum(np.square(top[upper])))
+        if off <= sweep_tol * scale:
+            break
+        for p, q in steps:
+            c, s = _per_pair_rotation(top[q, q] - top[p, p], top[p, q])
+            wp = work[:, p]
+            wq = work[:, q]
+            work[:, p] = c * wp - s * wq
+            work[:, q] = s * wp + c * wq
+            c = c[:, None]
+            s = s[:, None]
+            ap = top[p]
+            aq = top[q]
+            top[p] = c * ap - s * aq
+            top[q] = s * ap + c * aq
+            top[p, q] = 0.0
+            top[q, p] = 0.0
+    a[...] = top
+    return a.diagonal().copy(), work[n:]
+
+
+def per_pair_onesided_jacobi(b, v, pair_tol, max_sweeps):
+    m = b.shape[0]
+    work = np.hstack([b.T, v.T])
+    steps = _per_pair_schedule(b.shape[1])
+    for _ in range(max_sweeps):
+        rotated = False
+        for p, q in steps:
+            wp = work[p]
+            wq = work[q]
+            bp = wp[:, :m]
+            bq = wq[:, :m]
+            alpha = np.einsum("ij,ij->i", bp, bp)
+            beta = np.einsum("ij,ij->i", bq, bq)
+            gamma = np.einsum("ij,ij->i", bp, bq)
+            act = np.abs(gamma) > pair_tol * np.sqrt(alpha * beta)
+            if not act.any():
+                continue
+            rotated = True
+            c, s = _per_pair_rotation(beta - alpha, np.where(act, gamma, 0.0))
+            c = c[:, None]
+            s = s[:, None]
+            work[p] = c * wp - s * wq
+            work[q] = s * wp + c * wq
+        if not rotated:
+            break
+    b[...] = work[:, :m].T
+    v[...] = work[:, m:].T

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fusionframes
 from fusionframes.cli import build_parser, main
 
 
@@ -473,11 +475,76 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
     assert report["is_kff"] is True
 
 
+# Every option that writes a report or an instance, with arguments that run
+# the command to exit 0; SYSTEM, LOCAL, EYE and VECTOR name input files.
+_REPORT_COMMANDS = {
+    "verify": ["verify", "--system", "SYSTEM", "--operator", "EYE"],
+    "bounds": ["bounds", "--system", "SYSTEM"],
+    "decompose": ["decompose", "--system", "SYSTEM", "--operator", "EYE", "--vector", "VECTOR"],
+    "transform": ["transform", "--system", "SYSTEM", "--operator", "EYE"],
+    "perturb": ["perturb", "--system", "SYSTEM", "--system-b", "SYSTEM"],
+    "local-global": ["local-global", "--system", "LOCAL"],
+    "gen --out": ["gen", "--seed", "1"],
+    "gen --system-out": ["gen", "--seed", "1"],
+    "gen --operator-out": ["gen", "--seed", "1", "--flavor", "k-fusion-frame"],
+    "check-all": ["check-all", "--seed", "1"],
+}
+
+
+def _report_argv(command, files, tmp_path, target):
+    local = json.loads(Path(files["parseval"]).read_text())
+    for member in local["members"]:
+        member["local_frame"] = [member["basis"]["data"]]
+    inputs = {"SYSTEM": files["parseval"], "EYE": files["eye"],
+              "LOCAL": write(tmp_path / "local.json", local),
+              "VECTOR": write(tmp_path / "f.json", [3.0, 4.0])}
+    option = command.split()[1] if " " in command else "--out"
+    return [inputs.get(a, a) for a in _REPORT_COMMANDS[command]] + [option, target]
+
+
+@pytest.mark.parametrize("unwritable", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", _REPORT_COMMANDS)
+def test_unwritable_report_path_exit_two(files, tmp_path, capsys, monkeypatch, command,
+                                         unwritable):
+    def run_all(**kwargs):
+        raise AssertionError("check-all ran the suite before opening --out")
+
+    monkeypatch.setattr("fusionframes.suite.run_all", run_all)
+    target = str(tmp_path / "missing" / "r.json" if unwritable == "missing-directory"
+                 else tmp_path)
+    assert main(_report_argv(command, files, tmp_path, target)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {target}: ")
+
+
+def test_check_all_error_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
+    # --out is checked by opening it to append nothing, not by truncating it
+    out = tmp_path / "report.txt"
+    out.write_text("earlier report\n")
+    assert main(["check-all", "--scale", "nan", "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert out.read_text() == "earlier report\n"
+
+
+@pytest.mark.parametrize("command", [c for c in _REPORT_COMMANDS if c != "check-all"])
+def test_every_report_path_is_written(files, tmp_path, capsys, command):
+    target = tmp_path / "r.json"
+    assert main(_report_argv(command, files, tmp_path, str(target))) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8").endswith("\n")
+
+
 def test_console_entry_point_runs():
+    # the child imports the package this test imported, installed or not
+    package_root = str(Path(fusionframes.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fusionframes.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "verify" in proc.stdout

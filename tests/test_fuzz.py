@@ -259,12 +259,13 @@ def test_system_file_with_any_field_replaced_exits_cleanly(path, value):
     _run_wire_file(replaced_field(WIRE_SYSTEM, path, value), argv_for)
 
 
-# The sizes of a GenSpec set the work of ``gen``, so its integers stay small
-# here: an ambient_dim of 10^6 is a valid spec whose instance does not fit
-# in memory, which no reader can rule out.
+# Integers up to 10^12: sizes above generator.MAX_SIZE are rejected before
+# anything is drawn, so no size asks for more memory than the cap allows.
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(GENSPEC_FIELDS), json_values(st.integers(-3, 10)))
+@given(st.sampled_from(GENSPEC_FIELDS), json_values(st.integers(-3, 10**12)))
+@example(("ambient_dim",), 10**11)  # numpy's "array is too big", unless rejected first
+@example(("member_count",), 10**12)  # uncapped, hours of drawing dimensions and weights
 def test_genspec_file_with_any_field_replaced_exits_cleanly(path, value):
     _run_wire_file(replaced_field(WIRE_GENSPEC, path, value),
                    lambda spec, tmp: (["gen", "--spec", spec],))

@@ -281,6 +281,24 @@ def test_genspec_validation_errors():
         ).validate()
 
 
+# (a member_count far above the cap is not run here: uncapped, it loops for
+# hours drawing dimensions and weights)
+@pytest.mark.parametrize("field, size", [
+    ("ambient_dim", generator.MAX_SIZE + 1), ("ambient_dim", 10**11), ("ambient_dim", 10**400),
+    ("member_count", generator.MAX_SIZE + 1)])
+def test_genspec_sizes_above_the_cap_are_rejected_before_any_draw(monkeypatch, field, size):
+    def no_draw(*args):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(Rng, "normals", no_draw)
+    GenSpec(seed=0, **{field: generator.MAX_SIZE}).validate()
+    spec = GenSpec(seed=0, **{field: size})
+    with pytest.raises(InputError, match=f"{field} must be at most {generator.MAX_SIZE}"):
+        generate(spec)
+    with pytest.raises(InputError, match=field):
+        GenSpec.from_json(spec.to_json())
+
+
 def test_genspec_json_roundtrip():
     spec = GenSpec(
         seed=99,

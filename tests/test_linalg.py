@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from fusionframes import _kernels, linalg
 from fusionframes.errors import InputError, NotPSDError
+from fusionframes.generator import Flavor, GenSpec, generate
+from oracles import per_pair_jacobi_eigh, per_pair_onesided_jacobi
 
 
 def test_qr_identity_unchanged():
@@ -294,13 +296,95 @@ _KINDS = ["random", "zero", "diagonal", "identity", "graded", "rank-deficient"]
 @pytest.mark.parametrize("n", list(range(10)) + [32])
 def test_round_robin_schedule_covers_each_pair_once(n):
     seen = []
-    for p, q in _kernels._round_robin(n):
-        assert p.dtype.kind == "i" and q.dtype.kind == "i"
+    # each entry of an n x 2n array holds its own flat index
+    work = np.arange(2 * n * n).reshape(n, 2 * n)
+    for pq, flat in _kernels._round_robin(n):
+        assert pq.dtype.kind == "i" and flat.dtype.kind == "i"
+        assert not pq.flags.writeable and not flat.flags.writeable
+        p, q = pq
+        assert pq.shape == (2, p.size) and flat.shape == (4, p.size)
         assert np.all(p < q)
         assert len(set(p) | set(q)) == 2 * p.size  # disjoint within a step
+        assert np.array_equal(pq[::-1], [q, p])  # the swapped halves
+        # row j of the work array is column j of A: a_pp, a_qq, a_pq, a_qp
+        assert np.array_equal(work.take(flat), [work[p, p], work[q, q], work[q, p], work[p, q]])
         seen += list(zip(p.tolist(), q.tolist()))
     assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
     assert len(_kernels._round_robin(n)) == (n if n % 2 else max(n - 1, 0))
+
+
+def _symmetric_corpus(n, rng):
+    """Inputs of ``jacobi_eigh`` as ``sym_eig`` passes them: symmetric,
+    largest entry in [0.5, 1)."""
+    a = rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = rng.standard_normal((n, max(n // 2, 1))) * np.logspace(0, -8, max(n // 2, 1))
+    spread = rng.standard_normal((n, n)) * np.exp2(rng.integers(-30, 30, n))
+    cases = {
+        "random": a + a.T,
+        "graded-eigenvalues": (q * np.logspace(0, -14, n)) @ q.T,
+        "graded-gram": b @ b.T,
+        "graded-rows": np.triu(spread) + np.triu(spread, 1).T,
+        "integer": np.round(a + a.T),  # exact ties and zero differences
+        "diagonal": np.diag(rng.standard_normal(n)),
+        "zero": np.zeros((n, n)),
+    }
+    if n >= 12:  # a frame operator at the benchmark's shapes
+        system, _ = generate(GenSpec(seed=int(rng.integers(2**63)), ambient_dim=n,
+                                     member_count=3, dim_range=(4, 4),
+                                     flavor=Flavor.K_FUSION_FRAME))
+        cases["frame-operator"] = system.frame_operator()
+    return {name: linalg.unit_scaled(0.5 * (m + m.T))[0] for name, m in cases.items()}
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", list(range(0, 25)))
+def test_jacobi_eigh_matches_the_per_pair_kernel_bit_for_bit(n):
+    # n <= 1: an empty schedule; odd n: one index sits out each step
+    rng = np.random.default_rng(n)
+    for name, a in _symmetric_corpus(n, rng).items():
+        for sweep_tol, max_sweeps in [(linalg._EIG_SWEEP_TOL, linalg._MAX_SWEEPS), (1e-12, 1)]:
+            fused, per_pair = a.copy(), a.copy()
+            w, v = _kernels.jacobi_eigh(fused, sweep_tol, max_sweeps)
+            w0, v0 = per_pair_jacobi_eigh(per_pair, sweep_tol, max_sweeps)
+            assert _same_bits(w, w0) and _same_bits(v, v0), (name, max_sweeps)
+            assert _same_bits(fused, per_pair), (name, max_sweeps)
+
+
+def _column_corpus(rows, cols, rng):
+    b = rng.standard_normal((rows, cols))
+    equal = b.copy()
+    equal[:, -1] = equal[:, 0] * 2.0 ** int(rng.integers(-5, 6))  # columns equal up to 2^k
+    zero_columns = b.copy()
+    zero_columns[:, ::2] = 0.0
+    cases = {
+        "random": b,
+        "graded": b * np.logspace(0, -12, cols),
+        "zero-columns": zero_columns,
+        "equal-up-to-2^k": equal,
+        "integer": np.round(b),
+    }
+    cases.update({f"{name}-transposed": m.T for name, m in list(cases.items())})
+    return cases
+
+
+@pytest.mark.parametrize("rows", list(range(1, 23, 3)))
+def test_onesided_jacobi_matches_the_per_pair_kernel_bit_for_bit(rows):
+    rng = np.random.default_rng(100 + rows)
+    for cols in range(1, 7):
+        for name, m in _column_corpus(rows, cols, rng).items():
+            # more nonzero columns than rows never all turn orthogonal, so
+            # the sweeps run to any cap
+            cap = linalg._MAX_SWEEPS if m.shape[0] >= m.shape[1] else 6
+            for max_sweeps in (cap, 1):
+                b, b0 = m.copy(), m.copy()
+                v, v0 = np.eye(m.shape[1]), np.eye(m.shape[1])
+                _kernels.onesided_jacobi(b, v, linalg._SVD_PAIR_TOL, max_sweeps)
+                per_pair_onesided_jacobi(b0, v0, linalg._SVD_PAIR_TOL, max_sweeps)
+                assert _same_bits(b, b0) and _same_bits(v, v0), (cols, name, max_sweeps)
 
 
 @pytest.mark.parametrize("kind", _KINDS)

@@ -240,6 +240,27 @@ def test_local_vector_beyond_the_float_range_is_an_input_error(weight, vector):
         local_to_global_check(system)
 
 
+@pytest.mark.parametrize("weight, ys, message", [
+    (1.0, (1.0, 1e160), "member 1: local vector 1: norm 1e+160 has no finite square"),
+    (1.0, (1.0, 1e-170), "member 1: local vector 1: norm 1e-170 has a square below the normal"),
+    (1.0, (1.0, 1.5e308), "member 1: local vector 1: norm 1.5e+308 has no finite square"),
+    (1e100, (1.0, 1e60), "member 1: local vector 1: weighted norm 1e+160 has no finite square"),
+    (1.0, (1e154, 1e154), "member 1: local frame: the frame operator"),
+    (10.0, (1e153, 1e153), "global frame: the frame operator"),
+], ids=["local-overflow", "local-underflow", "local-inf", "global-overflow", "local-sum",
+        "global-sum"])
+def test_local_frame_errors_name_the_users_member_and_vector(weight, ys, message):
+    # the local and global frames are line systems, whose own "member k" is
+    # a line: the error names member i and local vector j of the input
+    system = WeightedSubspaceSystem([
+        Member(Subspace.span([1.0, 0.0]), 1.0, (np.array([1.0, 0.0]),)),
+        Member(Subspace.span([0.0, 1.0]), weight, tuple(np.array([0.0, y]) for y in ys)),
+    ])
+    with pytest.raises(InputError) as info:
+        local_to_global_check(system)
+    assert str(info.value).startswith(message)
+
+
 def test_missing_local_frame_rejected():
     system = coordinate_lines(2)
     with pytest.raises(InputError):
