@@ -25,6 +25,7 @@ from .constructions import (
     operator_image_construct,
     perturbation_estimate,
     perturbation_predict,
+    within_predicted_bounds,
 )
 from .errors import InadmissibleError, InputError, NotPSDError, PreconditionError
 from .fusion_systems import WeightedSubspaceSystem
@@ -190,12 +191,7 @@ def _cmd_perturb(args) -> int:
         _emit(report, args, lines)
         return 1
     actual = kfusion_verify(perturbed, k)
-    slack = args.tol * max(1.0, b_new)
-    inside = (
-        actual.is_kff
-        and actual.optimal_lower >= a_new - slack
-        and actual.optimal_upper <= b_new + slack
-    )
+    inside = within_predicted_bounds(actual, a_new, b_new, args.tol)
     report.update(
         {
             "admissible": True,

@@ -32,6 +32,9 @@ from .fusion_systems import Member, WeightedSubspaceSystem, coordinate_lines
 from .kfusion import DEFAULT_TOL, KFusionReport, PartResult, kfusion_verify
 from .subspaces import Subspace, _range
 
+_WEIGHT_MATCH_TOL = 1e-12  # relative: perturbation_estimate's two systems share their weights
+
+
 def _full_rank(sv: np.ndarray) -> tuple[bool, float]:
     """Whether a square matrix with the descending singular values ``sv`` has
     full rank at the rank cut ``linalg._kept``, and the ratio
@@ -39,6 +42,15 @@ def _full_rank(sv: np.ndarray) -> tuple[bool, float]:
     if sv[0] == 0.0:
         return False, 0.0
     return bool(linalg._kept(sv).all()), float(sv[-1] / sv[0])
+
+
+def within_predicted_bounds(report: KFusionReport, lower: float, upper: float,
+                            tol: float) -> bool:
+    """Whether ``report`` verifies with its optimal bounds inside the
+    predicted [lower - slack, upper + slack], slack = tol * max(1, upper)."""
+    slack = tol * max(1.0, upper)
+    return (report.is_kff and report.optimal_lower >= lower - slack
+            and report.optimal_upper <= upper + slack)
 
 
 def transform_system(system: WeightedSubspaceSystem, t) -> WeightedSubspaceSystem:
@@ -148,12 +160,7 @@ def commuting_transform_construct(
     a_pred = base.optimal_lower / condition
     b_pred = base.optimal_upper * condition
     report = kfusion_verify(transformed, k, tol)
-    slack = tol * max(1.0, b_pred)
-    consistent = (
-        report.is_kff
-        and report.optimal_lower >= a_pred - slack
-        and report.optimal_upper <= b_pred + slack
-    )
+    consistent = within_predicted_bounds(report, a_pred, b_pred, tol)
     return TransformConstructReport(
         transformed, hypotheses, False, a_pred, b_pred, report, consistent
     )
@@ -377,7 +384,7 @@ def perturbation_estimate(
         raise InputError("ambient dimensions differ")
     if len(perturbed) != len(system):
         raise InputError("member counts differ")
-    if not np.allclose(system.weights, perturbed.weights, rtol=1e-12, atol=0.0):
+    if not np.allclose(system.weights, perturbed.weights, rtol=_WEIGHT_MATCH_TOL, atol=0.0):
         raise InputError("weights differ between the two systems")
     spec = system.spectrum()
     if spec.rank() < system.ambient_dim:

@@ -296,10 +296,12 @@ class WeightedSubspaceSystem:
 
 
 def coordinate_lines(n: int, weights=None) -> WeightedSubspaceSystem:
-    """The system of coordinate axes of R^n (Parseval with unit weights)."""
-    if weights is None:
-        weights = [1.0] * n
+    """The system of coordinate axes of R^n (Parseval with unit weights),
+    axis i with weight ``weights[i]``; InputError unless there are n."""
+    weights = [1.0] * n if weights is None else list(weights)
+    if len(weights) != n:
+        raise InputError(f"coordinate_lines: {len(weights)} weights for {n} axes")
     eye = np.eye(n)
     return WeightedSubspaceSystem(
-        [Member(Subspace(n, eye[:, [i]], _trusted=True), w) for i, w in zip(range(n), weights)]
+        [Member(Subspace(n, eye[:, [i]], _trusted=True), w) for i, w in enumerate(weights)]
     )

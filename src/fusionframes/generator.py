@@ -179,6 +179,18 @@ class Flavor(enum.Enum):
     IMAGE_COMPATIBLE = "image-compatible"
 
 
+def _flavor_error(name: str, value) -> InputError:
+    choices = ", ".join(f.value for f in Flavor)
+    return InputError(f"{name}: expected one of {choices}, got {value!r}")
+
+
+def _check_flavor(flavor) -> Flavor:
+    """``flavor``, which must be a ``Flavor`` (not its value)."""
+    if not isinstance(flavor, Flavor):
+        raise _flavor_error("flavor", flavor)
+    return flavor
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters of one reproducible instance."""
@@ -197,9 +209,11 @@ class GenSpec:
 
     def validate(self) -> None:
         """Check every field with the wire readers (``linalg.json_int`` and
-        ``linalg.json_real``), and ambient_dim and member_count against
-        MAX_SIZE, before anything is drawn; raises InputError."""
+        ``linalg.json_real``), ambient_dim and member_count against
+        MAX_SIZE, and that ``flavor`` is a ``Flavor``, before anything is
+        drawn; raises InputError."""
         _check_seed(self.seed)
+        _check_flavor(self.flavor)
         n = _check_size(self.ambient_dim, "ambient_dim", 2)
         m = _check_size(self.member_count, "member_count", 1)
         lo, hi = (linalg.json_int(d, "dim_range", 1) for d in self.resolved_dim_range())
@@ -221,7 +235,7 @@ class GenSpec:
             "member_count": self.member_count,
             "dim_range": list(self.resolved_dim_range()),
             "weight_range": list(self.weight_range),
-            "flavor": self.flavor.value,
+            "flavor": _check_flavor(self.flavor).value,
         }
 
     @classmethod
@@ -237,9 +251,7 @@ class GenSpec:
             try:
                 kwargs["flavor"] = Flavor(obj["flavor"])
             except ValueError:
-                choices = ", ".join(f.value for f in Flavor)
-                raise InputError(f"{name}.flavor: expected one of {choices}, "
-                                 f"got {obj['flavor']!r}") from None
+                raise _flavor_error(f"{name}.flavor", obj["flavor"]) from None
         spec = cls(**kwargs)
         spec.validate()
         return spec

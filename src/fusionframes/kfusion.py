@@ -21,27 +21,28 @@ Every public entry validates K (and T) with ``linalg.as_operator`` and
 ``tol`` with ``linalg.check_tol`` (finite and > 0), once, directly or
 through ``kfusion_verify``, the one public entry to the verifier (vector
 frames reach it through their line systems); malformed input raises
-InputError.  The chain
-check forms its quantities from K, S and S^+, each scaled by a power of two
-(with A, B and the row filter scaled to match), so its margins do not
-depend on the scale of K and no row norm over- or underflows.  The self-atomic check
-works on S and the weights scaled by one power of two and on each vector
-scaled by its own, so it does not overflow for S near the float range.
+InputError.  The chain check forms its quantities from K and S, each
+scaled by a power of two (with A and B scaled to match), so its margins
+do not depend on the scale of K and nothing over- or underflows.  Its margins are exact worst cases
+over all vectors: lambda_min(S - A K K.T) and the extreme singular values
+of S on the range of K.  The self-atomic check works on S and the weights
+scaled by one power of two and on each vector scaled by its own, so it
+does not overflow for S near the float range.
 
-The two sampled checks, ``frame_operator_chain_check`` and
-``frame_operator_atomic_check``, draw their fixed sample of ``trials``
-vectors through ``generator.normal_block``: once per (seed, trials, n) in
-the process, read-only, after ``seed`` and ``trials`` are checked.
+The one sampled check, ``frame_operator_atomic_check``, draws its fixed
+sample of ``trials`` vectors through ``generator.normal_block``: once per
+(seed, trials, n) in the process, read-only, after ``seed`` and ``trials``
+are checked.
 
 What depends on (S, K) alone is computed once per pair and kept in the
 spectrum's bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape
 and its float64 bytes: the range defect, the verified report, the
 coefficient map ``gamma`` of ``atomic_decompose``, and the chain check's
-||K+|| and lambda_min(S - A K K.T); per spectrum, the chain check's scaled
-S and S^+.  ``tol`` only decides whether the defect refutes, so a second
-``tol`` factors nothing again.  A K changed in place is a new key; the
-cached arrays are read-only.  Coefficient blocks come from the system's
-analysis matrix Phi (``analysis_operator``).
+three margins; per spectrum, the scaled S of the two checks.  ``tol`` only
+decides whether the defect refutes and whether a chain part holds, so a
+second ``tol`` factors nothing again.  A K changed in place is a new key;
+the cached arrays are read-only.  Coefficient blocks come from the
+system's analysis matrix Phi (``analysis_operator``).
 """
 
 from __future__ import annotations
@@ -146,15 +147,14 @@ def _memoized(spec: linalg.Spectrum, name: str, k: np.ndarray, compute):
     return spec.memoized((name, k.shape, k.tobytes()), compute)
 
 
-def _memoized_unit_scaled(spec: linalg.Spectrum, name: str,
-                          matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    """``linalg.unit_scaled(matrix)`` once per spectrum under ``name`` (a
-    matrix derived from S alone), the scaled matrix read-only."""
+def _unit_scaled_s(system: WeightedSubspaceSystem) -> tuple[np.ndarray, int]:
+    """``linalg.unit_scaled`` of the frame operator, (S 2^-d, d), once per
+    spectrum, the scaled S read-only."""
     def compute():
-        scaled, e = linalg.unit_scaled(matrix)
+        scaled, d = linalg.unit_scaled(system.frame_operator())
         scaled.flags.writeable = False
-        return scaled, e
-    return spec.memoized(name, compute)
+        return scaled, d
+    return system.spectrum().memoized("unit_scaled_s", compute)
 
 
 def _verify_checked(spec: linalg.Spectrum, k: np.ndarray, tol: float) -> KFusionReport:
@@ -298,89 +298,74 @@ class ChainReport:
 
 
 def frame_operator_chain_check(
-    system: WeightedSubspaceSystem,
-    k,
-    tol: float = DEFAULT_TOL,
-    trials: int = 64,
-    seed: int = 1,
+    system: WeightedSubspaceSystem, k, tol: float = DEFAULT_TOL
 ) -> ChainReport:
     """Certify the operator inequalities implied by a verified pair.
 
     (1) A K K.T <= S <= B I in the Loewner order;
     (2) A ||K+||^-2 ||f|| <= ||S f|| <= B ||f|| for f in the range of K;
-    (3) on the invertible branch, B^-1 ||f|| <= ||S^-1 f|| <= A^-1 ||K+||^2
-        ||f|| for f in S(range K); with singular S the same inequalities are
+    (3) on the invertible branch, B^-1 ||g|| <= ||S^-1 g|| <= A^-1 ||K+||^2
+        ||g|| for g in S(range K); with singular S the same inequalities are
         checked with the pseudo-inverse and reported under a separate
         branch label.
 
-    Margins are worst cases over ``trials`` sampled range vectors,
-    normalized by the upper bound.
+    Each margin is the exact worst case over all f, normalized by B
+    (``_chain_margins``), computed once per pair: ``tol`` only decides
+    whether each part holds.
     """
     n = system.ambient_dim
     k = linalg.as_operator(k, n, "operator K")
     linalg.check_tol(tol)
-    x = normal_block(seed, trials, n)
     spec = system.spectrum()
     report = _verify_checked(spec, k, tol)
     if not report.is_kff:
         raise PreconditionError("system is refuted for this operator")
+    margins = _memoized(spec, "chain", k, lambda: _chain_margins(system, spec, k, report))
+    return ChainReport(
+        parts={name: PartResult(m >= -tol, m)
+               for name, m in zip(("psd_chain", "range_norms", "inverse_norms"), margins)},
+        branch="inverse" if spec.rank() == n else "pseudo-inverse",
+        lower=report.optimal_lower,
+        upper=report.optimal_upper,
+    )
+
+
+def _chain_margins(system: WeightedSubspaceSystem, spec: linalg.Spectrum, k: np.ndarray,
+                   report: KFusionReport) -> tuple[float, float, float]:
+    """The margins of parts (1)-(3) of the chain check, each over B.
+
+    They are formed from K^ = K 2^-e and A 4^e, which give A K K.T =
+    (A 4^e) K^ K^.T and A ||K+||^-2 = (A 4^e) sigma_min(K^)^2: exact and
+    finite at any scale of K.  (1) is lambda_min(S - A K K.T), and
+    B - lambda_max.  The left singular vectors Q of K^ kept by the rank cut
+    span range K, so the singular values r of S^ Q, S^ = S 2^-d, are the
+    extremes of ||S f|| / ||f|| over range K, times 2^-d: (2) is
+    min(r_min - A ||K+||^-2, B - r_max).  On range K (inside range S once
+    verified) S+ S is the identity, so ||S+ g|| / ||g|| over S(range K)
+    runs between the reciprocals of the same ratios; (3) takes those kept
+    by the cut at B 2^-d = lambda_max 2^-d, as S+ is.  With K = 0, or no
+    ratio kept, (2) and (3) are 0.
+    """
     a, b = report.optimal_lower, report.optimal_upper
-    # Every quantity below is formed from K^ = K 2^-e and A 4^e, which give
-    # A K K.T = (A 4^e) K^ K^.T and A ||K+||^-2 = (A 4^e) ||K^+||^-2: exact,
-    # finite at any scale of K, and the sampled rows K^ x keep their size.
     k_hat, e = linalg.unit_scaled(k)
     a_hat = math.ldexp(a, 2 * e) if math.isfinite(a) else 0.0
     s = system.frame_operator()
     scale = max(b, 1e-300)
-
-    # part 1: PSD chain; the smallest eigenvalue of B I - S is B - lambda_max
-    m1 = _memoized(spec, "chain_lambda_min", k,
-                   lambda: linalg.sym_eig(s - a_hat * (k_hat @ k_hat.T)).smallest) / scale
-    margin1 = min(m1, (b - spec.largest) / scale)
-    parts = {"psd_chain": PartResult(margin1 >= -tol, margin1)}
-
-    # ||K^+||: the singular values of K, scaled exactly to those of K^
-    kp_norm = _memoized(spec, "k_hat_pinv_norm", k, lambda: linalg._pinv_norm(
-        np.ldexp(linalg.singular_values(k), -e)))
-
-    # parts 2 and 3 over all trials at once: row i of f is K^ x_i.  S and S+
-    # enter as S^ = S 2^-d and P^ = S+ 2^-q, each largest entry in [0.5, 1),
-    # so the rows of f S^ = (S f) 2^-d and f S^ P^ = (S+ S f) 2^-(d+q) keep
-    # the size of f and plain row norms neither over- nor underflow; every
-    # bound they meet is scaled by the same power of two, exactly.
-    s_hat, d = _memoized_unit_scaled(spec, "unit_scaled_s", s)
-    p_hat, q = _memoized_unit_scaled(spec, "unit_scaled_pinv", spec.pinv())
-    f = x @ k_hat.T
-    nf = np.linalg.norm(f, axis=1)  # entries of K^ below 1: no kept row over- or underflows
-    live = nf > 1e-12 * np.maximum(np.linalg.norm(x, axis=1), 1.0)
-    f, nf = f[live], nf[live]
-    sf = f @ s_hat  # S is symmetric
-    nsf = np.linalg.norm(sf, axis=1)
-    margin2 = margin3 = math.inf
-    if nf.size:
-        lo = math.ldexp(a_hat / kp_norm ** 2, -d)
-        margin2 = float(np.min(np.minimum(nsf - lo * nf, math.ldexp(b, -d) * nf - nsf)
-                               / (math.ldexp(scale, -d) * nf)))
-    live = nsf > math.ldexp(1e-300, -d)  # the rows of sf are elements of S(range K)
-    sf, nsf = sf[live], nsf[live]
-    if nsf.size:
-        nsig = np.linalg.norm(sf @ p_hat, axis=1)
-        margin3 = float(np.min(nsig * math.ldexp(b, q) / nsf - 1.0))
-        if a_hat > 0:
-            margin3 = min(margin3, float(np.min(
-                1.0 - nsig * math.ldexp(a_hat, q) / (kp_norm ** 2 * nsf))))
-    if not math.isfinite(margin2):
-        margin2 = 0.0  # zero operator: nothing to sample
-    if not math.isfinite(margin3):
-        margin3 = 0.0
-    parts["range_norms"] = PartResult(margin2 >= -tol, margin2)
-    parts["inverse_norms"] = PartResult(margin3 >= -tol, margin3)
-    return ChainReport(
-        parts=parts,
-        branch="inverse" if spec.rank() == n else "pseudo-inverse",
-        lower=a,
-        upper=b,
-    )
+    # the smallest eigenvalue of B I - S is B - lambda_max
+    margin1 = min(linalg.sym_eig(s - a_hat * (k_hat @ k_hat.T)).smallest / scale,
+                  (b - spec.largest) / scale)
+    u, sv, _ = linalg.svd(k_hat)
+    kept = linalg._kept(sv)
+    if not kept.any():
+        return margin1, 0.0, 0.0
+    s_hat, d = _unit_scaled_s(system)
+    r = linalg.singular_values(s_hat @ u[:, kept])  # descending
+    lo, b_d = math.ldexp(a_hat * float(sv[kept][-1]) ** 2, -d), math.ldexp(b, -d)
+    margin2 = min(float(r[-1]) - lo, b_d - float(r[0])) / b_d
+    r = r[linalg._kept(r, b_d)]
+    if not r.size:
+        return margin1, margin2, 0.0
+    return margin1, margin2, min(b_d / float(r[0]) - 1.0, 1.0 - lo / float(r[-1]))
 
 
 @dataclass(frozen=True)
@@ -429,7 +414,7 @@ def frame_operator_atomic_check(
     # margins are ratios of terms scaled by the same power of two, so this is
     # exact, and neither S f nor sum_i w_i a_i overflows near the float range.
     f = np.ldexp(f, -np.frexp(np.abs(f).max(axis=1, keepdims=True))[1])
-    s_hat, d = _memoized_unit_scaled(spec, "unit_scaled_s", system.frame_operator())
+    s_hat, d = _unit_scaled_s(system)
     blocks = (f @ system.analysis_operator().T).reshape(len(f), len(system), n)
     rec = (np.ldexp(system.weights, -d)[:, None] * blocks).sum(axis=1)  # sum_i w_i a_i 2^-d
     target = f @ s_hat  # S is symmetric

@@ -395,13 +395,6 @@ def singular_values(m) -> np.ndarray:
     return svd(m)[1]
 
 
-def _pinv_norm(sv: np.ndarray) -> float:
-    """||M+|| from the singular values of M: 1 / the smallest value kept by
-    ``_kept``, 0 when none is kept."""
-    kept = sv[_kept(sv)]
-    return 1.0 / float(kept[-1]) if kept.size else 0.0
-
-
 def dominant_singular(m) -> tuple[float, np.ndarray]:
     """(sigma_max, v): the largest singular value of ``m`` and a unit right
     singular vector for it; (0, e_1) for an empty or zero matrix.

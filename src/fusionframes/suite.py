@@ -25,6 +25,7 @@ from .constructions import (
     perturbation_predict,
     surjectivity_consistency_check,
     transform_system,
+    within_predicted_bounds,
 )
 from .errors import RangeInclusionError
 from .fusion_systems import CoefficientBundle, Member, WeightedSubspaceSystem
@@ -342,7 +343,7 @@ def _check_operators(rng: Rng, trials: int) -> CheckResult:
 def _check_inequality_chain(rng: Rng, trials: int) -> CheckResult:
     for _ in range(trials):
         system, k = verified_instance(rng)
-        report = frame_operator_chain_check(system, k, seed=rng.randint(0, 2 ** 31))
+        report = frame_operator_chain_check(system, k)
         if not report.all_ok:
             bad = {name: p.margin for name, p in report.parts.items() if not p.ok}
             return CheckResult("inequality-chain", False, f"violations: {bad}")
@@ -487,8 +488,7 @@ def _check_perturbation(rng: Rng, trials: int) -> CheckResult:
             continue  # too large a kick for this instance; nothing to assert
         a_new, b_new = perturbation_predict(a_ref, base.optimal_upper, params)
         rep = kfusion_verify(perturbed, k)
-        slack = 1e-9 * max(1.0, b_new)
-        if not rep.is_kff or rep.optimal_lower < a_new - slack or rep.optimal_upper > b_new + slack:
+        if not within_predicted_bounds(rep, a_new, b_new, linalg.DEFAULT_VERDICT_TOL):
             return CheckResult(
                 "perturbation",
                 False,

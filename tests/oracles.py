@@ -80,6 +80,31 @@ def rayleigh_infimum(s, k, directions):
     return float(np.min(num[keep] / den[keep]))
 
 
+def chain_range_margins(s, k, a, b, cut=1e-10, keep_below_cut=False):
+    """Exact margins of parts (2) and (3) of the chain check, over B, for
+    bounds (a, b): Q spans range K (the left singular vectors of K above
+    ``cut`` times the largest), and the singular values r of S Q are the
+    extremes of ||S f|| / ||f|| over range K.  Part (3) takes the r above
+    ``cut`` times lambda_max(S), or every r with ``keep_below_cut``.
+    Returns (0, 0) for K = 0, and a part-(3) margin of 0 when no r is
+    taken."""
+    s = np.asarray(s, float)
+    k = np.asarray(k, float)
+    u, sv, _ = np.linalg.svd(k)
+    kept = sv > cut * sv.max(initial=0.0)
+    if not kept.any():
+        return 0.0, 0.0
+    r = np.linalg.svd(s @ u[:, kept], compute_uv=False)
+    lo = a * sv[kept][-1] ** 2  # A ||K+||^-2
+    range_margin = min(r[-1] - lo, b - r[0]) / b
+    if not keep_below_cut:
+        r = r[r > cut * np.linalg.eigvalsh(s)[-1]]
+    if not r.size:
+        return range_margin, 0.0
+    with np.errstate(divide="ignore"):
+        return range_margin, min(b / r[0] - 1.0, 1.0 - lo / r[-1])
+
+
 def null_space(s, cut=1e-10):
     """Orthonormal basis of the (numerical) null space of a symmetric PSD
     matrix."""

@@ -16,6 +16,7 @@ from fusionframes.constructions import (
     perturbation_predict,
     surjectivity_consistency_check,
     transform_system,
+    within_predicted_bounds,
 )
 from fusionframes.errors import InadmissibleError, InputError, PreconditionError
 from fusionframes.fusion_systems import Member, WeightedSubspaceSystem, coordinate_lines
@@ -507,3 +508,17 @@ def test_transform_command_at_extreme_scale(tmp_path, capsys, k_scale, t_scale):
     report = json.loads(capsys.readouterr().out)
     assert report["hypotheses"]["commutes"] == {"ok": True, "margin": 0.0}
     assert report["consistent"] is True
+
+
+def test_within_predicted_bounds_is_the_interval_with_its_slack():
+    # slack = tol * max(1, upper): 1e-3 here for upper 0.5, 2e-3 for upper 2
+    report = kfusion_verify(coordinate_lines(2, [1.0, math.sqrt(2.0)]), np.eye(2))
+    assert (report.optimal_lower, report.optimal_upper) == pytest.approx((1.0, 2.0))
+    assert within_predicted_bounds(report, 1.0, 2.0, 1e-3)
+    assert within_predicted_bounds(report, 1.0019, 1.9981, 1e-3)
+    assert not within_predicted_bounds(report, 1.0021, 2.0, 1e-3)
+    assert not within_predicted_bounds(report, 1.0, 1.9979, 1e-3)
+    assert within_predicted_bounds(report, 1.0009, 0.5, 1e-3) is False  # upper 2 > 0.5 + 1e-3
+    refuted = kfusion_verify(WeightedSubspaceSystem([Member(Subspace.span([1.0, 0.0]), 1.0)]),
+                             np.eye(2))
+    assert not within_predicted_bounds(refuted, 0.0, 10.0, 1e-3)

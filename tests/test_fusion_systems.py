@@ -363,3 +363,10 @@ def test_bundles_are_read_only():
                 view[0] = 5.0
     user[0, 0] = 7.0  # the bundle holds its own copy
     assert bundles[0].blocks[0][0] == 1.0
+
+
+@pytest.mark.parametrize("n, weights", [(3, [1.0]), (2, [1.0, 2.0, 3.0]), (2, [])])
+def test_coordinate_lines_needs_one_weight_per_axis(n, weights):
+    with pytest.raises(InputError, match=f"{len(weights)} weights for {n} axes"):
+        coordinate_lines(n, weights)
+    assert coordinate_lines(n, [2.0] * n).weights.tolist() == [2.0] * n

@@ -109,7 +109,7 @@ def _api(system_json, k, f):
         lambda: kfusion_verify(system, k),
         lambda: refutation_witness(system, k),
         lambda: atomic_decompose(system, k, f),
-        lambda: frame_operator_chain_check(system, k, trials=8),
+        lambda: frame_operator_chain_check(system, k),
         lambda: frame_operator_atomic_check(system, trials=8),
     ]
     for call in calls:

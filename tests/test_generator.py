@@ -314,3 +314,19 @@ def test_genspec_json_roundtrip():
         GenSpec.from_json({"seed": 0, "flavor": "nope"})
     with pytest.raises(InputError):
         GenSpec.from_json({"ambient_dim": 4})
+
+
+@pytest.mark.parametrize("flavor", ["k-fusion-frame", "nonsense", None, 2])
+def test_genspec_flavor_that_is_not_a_flavor_is_rejected(monkeypatch, flavor):
+    # the value of a Flavor is not one either: a string used to generate an
+    # ARBITRARY instance with K = None
+    def no_draw(*args):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(Rng, "normals", no_draw)
+    spec = GenSpec(seed=1, ambient_dim=6, member_count=3, flavor=flavor)
+    choices = "arbitrary, fusion-frame, k-fusion-frame, image-compatible"
+    for call in (spec.validate, lambda: generate(spec), spec.to_json):
+        with pytest.raises(InputError, match=f"^flavor: expected one of {choices}, got "):
+            call()
+    assert GenSpec(seed=1, flavor=Flavor.K_FUSION_FRAME).to_json()["flavor"] == "k-fusion-frame"

@@ -9,8 +9,10 @@ malformed JSON value with InputError, and the CLI with exit 2.
 """
 
 import ast
+import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -418,3 +420,21 @@ def test_basis_reader_spans_the_data_bit_for_bit():
     system = WeightedSubspaceSystem.from_json(
         {"ambient_dim": 2, "members": [{"basis": basis, "weight": 1.0}]})
     assert system.members[0].subspace.basis.tobytes() == expected
+
+
+def test_every_tolerance_constant_is_in_the_readme_table():
+    # each module-level *_TOL of the package has its row, with its value and
+    # module, in README's table of all the tolerances
+    package = Path(importlib.import_module("fusionframes").__file__).parent
+    constants = sorted((path.stem, name) for path in package.glob("*.py")
+                       for name in re.findall(r"^(\w+_TOL)\s*=", path.read_text(encoding="utf-8"),
+                                              re.M))
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = {(module, name): value for name, value, module
+            in re.findall(r"^\| `(\w+)` \| ([^|]+?) \|.*\| `(\w+)` \|$", table, re.M)}
+    assert len(constants) >= 9
+    for module, name in constants:
+        assert (module, name) in rows, f"{module}.{name} has no row"
+        value = getattr(importlib.import_module(f"fusionframes.{module}"), name)
+        assert float(rows[module, name]) == value, name
