@@ -71,6 +71,14 @@ def _round_robin(n):
     return tuple(steps)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper(n):
+    """``np.triu_indices(n, 1)[::-1]``, for the off norm; cached per n, read-only."""
+    cols, rows = np.triu_indices(n, 1)[::-1]
+    cols.flags.writeable = rows.flags.writeable = False
+    return cols, rows
+
+
 def _rotation(d, off):
     """Cosine and sine of the Jacobi rotations that annihilate ``off`` for
     pairs whose diagonal difference is ``d`` (elementwise arrays).
@@ -103,7 +111,7 @@ def jacobi_eigh(a, sweep_tol, max_sweeps):
     # those of the rows of A on columns of ``top`` (the transpose of A).
     work = np.hstack([a.T, np.eye(n)])
     top = work[:, :n]
-    upper = np.triu_indices(n, 1)[::-1]
+    upper = _upper(n)
     steps = _round_robin(n)
     for _ in range(max_sweeps):
         off = np.sqrt(2.0 * np.sum(np.square(top[upper])))

@@ -85,14 +85,15 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 
 class CoefficientBundle:
     """Element of the representation space: m blocks of R^n, block i lying
-    in W_i, held as one read-only m x n array copied from ``blocks``."""
+    in W_i, held as one read-only m x n array copied from ``blocks`` (taken
+    as it is when ``_trusted``: blocks the package has just checked)."""
 
     __slots__ = ("_array",)
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, *, _trusted: bool = False):
         if len(blocks) == 0:
             raise InputError("a bundle needs at least one block")
-        array = np.array(linalg.as_matrix(blocks, "bundle blocks"))
+        array = blocks if _trusted else np.array(linalg.as_matrix(blocks, "bundle blocks"))
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
 
@@ -146,8 +147,7 @@ class WeightedSubspaceSystem:
             norm_members.append(Member(m.subspace, w, tuple(m.local_frame)))
         object.__setattr__(self, "ambient_dim", ambient)
         object.__setattr__(self, "members", tuple(norm_members))
-        weights = np.array([m.weight for m in norm_members])
-        weights.flags.writeable = False
+        weights = linalg.read_only(np.array([m.weight for m in norm_members]))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_frame_op", None)
         object.__setattr__(self, "_spectrum", None)
@@ -167,7 +167,7 @@ class WeightedSubspaceSystem:
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = self.analysis_operator() @ f
         _check_finite(blocks, "the blocks w_i P_i f are")
-        return CoefficientBundle(blocks.reshape(len(self.members), self.ambient_dim))
+        return CoefficientBundle(blocks.reshape(len(self), self.ambient_dim), _trusted=True)
 
     def synthesis(self, bundle: CoefficientBundle) -> np.ndarray:
         """sum_i w_i a_i for a bundle shaped like this system, summed member
@@ -204,8 +204,7 @@ class WeightedSubspaceSystem:
         the cached projections and shared read-only."""
         if self._analysis_op is None:
             phi = np.vstack([m.weight * m.subspace.projection() for m in self.members])
-            phi.flags.writeable = False
-            object.__setattr__(self, "_analysis_op", phi)
+            object.__setattr__(self, "_analysis_op", linalg.read_only(phi))
         return self._analysis_op
 
     def frame_operator(self) -> np.ndarray:

@@ -156,9 +156,7 @@ def normal_block(seed: int, trials: int, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _cached_block(seed: int, trials: int, n: int) -> np.ndarray:
-    block = Rng(seed).normals(trials, n)
-    block.flags.writeable = False
-    return block
+    return linalg.read_only(Rng(seed).normals(trials, n))
 
 
 class Flavor(enum.Enum):

@@ -17,15 +17,15 @@ from that same report, so it is None exactly when the pair verifies, and
 takes its direction N v from the dominant right vector v of K^.T N
 (``linalg.dominant_singular``), N a null basis of S.
 
-Every public entry validates K (and T) with ``linalg.as_operator`` and
-``tol`` with ``linalg.check_tol`` (finite and > 0), once, directly or
-through ``kfusion_verify``, the one public entry to the verifier (vector
-frames reach it through their line systems); malformed input raises
-InputError.  The chain check forms its quantities from K and S, each
-scaled by a power of two (with A and B scaled to match), so its margins
-do not depend on the scale of K and nothing over- or underflows.  Its margins are exact worst cases
-over all vectors: lambda_min(S - A K K.T) and the extreme singular values
-of S on the range of K.  The self-atomic check works on S and the weights
+Every public entry validates K (and T) with ``linalg.as_operator`` on a
+memo miss (below) and ``tol`` with ``linalg.check_tol`` (finite and > 0),
+in one helper that also gives the verdict (vector frames reach it through
+their line systems); malformed input raises InputError.  The chain check
+forms its quantities from K and S, each scaled by a power of two (with A
+and B scaled to match), so its margins do not depend on the scale of K
+and nothing over- or underflows.  Its margins are exact worst cases over
+all vectors: lambda_min(S - A K K.T) and the extreme singular values of S
+on the range of K.  The self-atomic check works on S and the weights
 scaled by one power of two and on each vector scaled by its own, so it
 does not overflow for S near the float range.
 
@@ -34,14 +34,16 @@ sample of ``trials`` vectors through ``generator.normal_block``: once per
 (seed, trials, n) in the process, read-only, after ``seed`` and ``trials``
 are checked.
 
-What depends on (S, K) alone is computed once per pair and kept in the
-spectrum's bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape
-and its float64 bytes: the range defect, the verified report, the
-coefficient map ``gamma`` of ``atomic_decompose``, and the chain check's
-three margins; per spectrum, the scaled S of the two checks.  ``tol`` only
-decides whether the defect refutes and whether a chain part holds, so a
-second ``tol`` factors nothing again.  A K changed in place is a new key;
-the cached arrays are read-only.  Coefficient blocks come from the
+What depends on (S, K) alone is one record per pair in the spectrum's
+bounded memo (``linalg.Spectrum.memoized``), keyed on K's shape and its
+float64 bytes, its fields filled on first use: a validated copy of K, the
+range defect, the verified report, the coefficient map ``gamma`` of
+``atomic_decompose``, the chain check's margins and branch, and the
+refutation direction; per spectrum, the scaled S of the two checks.  A hit
+is one lookup, with no validation of K: equal bytes are equal values.
+``tol`` only decides whether the defect refutes and whether a chain part
+holds, so a second ``tol`` factors nothing again.  A K changed in place is
+a new key; the cached arrays are read-only.  Coefficient blocks come from the
 system's analysis matrix Phi (``analysis_operator``).
 """
 
@@ -141,10 +143,44 @@ def _range_defect(null_basis: np.ndarray, k_hat: np.ndarray) -> float:
     return float(np.linalg.norm(null_basis.T @ k_hat) / k_norm) if k_norm else 0.0
 
 
-def _memoized(spec: linalg.Spectrum, name: str, k: np.ndarray, compute):
-    """``compute()`` once per (name, K) in the spectrum's memo, K keyed by
-    its shape and float64 bytes."""
-    return spec.memoized((name, k.shape, k.tobytes()), compute)
+@dataclass(slots=True)
+class _Record:
+    """What depends on S and one operator K alone: a validated read-only copy
+    of K and, each filled on first use, the range defect, the verified
+    report, ``gamma``, the chain margins and branch, the refutation direction."""
+
+    k: np.ndarray
+    defect: float | None = None
+    verified: KFusionReport | None = None
+    gamma: np.ndarray | None = None
+    chain: tuple | None = None
+    direction: np.ndarray | None = None
+
+
+def _checked(system: WeightedSubspaceSystem, k, tol: float, name: str = "operator K"):
+    """(spectrum, record of ``k``, report at ``tol``).  The record is the one
+    memo value per K, keyed on its shape and float64 bytes; equal bytes are
+    equal values, so a native float64 array that hits was validated before,
+    and only a miss, or another input, goes through ``linalg.as_operator``.
+    ``tol`` only decides: a refuted report is rebuilt from the stored defect."""
+    n = system.ambient_dim
+    if type(k) is not np.ndarray or k.dtype != np.float64:
+        k = linalg.as_operator(k, n, name)
+    spec = system.spectrum()
+    rec = spec.memoized((k.shape, k.tobytes()), lambda: _Record(
+        linalg.read_only(linalg.as_operator(k, n, name).copy())))
+    linalg.check_tol(tol)
+    if rec.defect is None:
+        rec.defect = _range_defect(spec.null_basis(), linalg.unit_scaled(rec.k)[0])
+    if rec.defect > tol:
+        return spec, rec, KFusionReport(False, 0.0, max(spec.largest, 0.0), None, rec.defect)
+    if rec.verified is None:
+        k_hat, e = linalg.unit_scaled(rec.k)
+        factor = spec.power(-0.5) @ k_hat
+        lower = _lower_bound(linalg.operator_norm(factor), e)
+        rec.verified = KFusionReport(True, lower, max(spec.largest, 0.0),
+                                     linalg.read_only(np.ldexp(factor, e)), rec.defect)
+    return spec, rec, rec.verified
 
 
 def _unit_scaled_s(system: WeightedSubspaceSystem) -> tuple[np.ndarray, int]:
@@ -152,40 +188,17 @@ def _unit_scaled_s(system: WeightedSubspaceSystem) -> tuple[np.ndarray, int]:
     spectrum, the scaled S read-only."""
     def compute():
         scaled, d = linalg.unit_scaled(system.frame_operator())
-        scaled.flags.writeable = False
-        return scaled, d
+        return linalg.read_only(scaled), d
     return system.spectrum().memoized("unit_scaled_s", compute)
-
-
-def _verify_checked(spec: linalg.Spectrum, k: np.ndarray, tol: float) -> KFusionReport:
-    """``kfusion_verify`` on the spectrum of S, for a K and ``tol`` already
-    validated."""
-    residual = _memoized(spec, "range_defect", k, lambda: _range_defect(
-        spec.null_basis(), linalg.unit_scaled(k)[0]))
-    if residual > tol:
-        return KFusionReport(False, 0.0, max(spec.largest, 0.0), None, residual)
-    return _memoized(spec, "verified", k, lambda: _verified(spec, k, residual))
-
-
-def _verified(spec: linalg.Spectrum, k: np.ndarray, residual: float) -> KFusionReport:
-    upper = max(spec.largest, 0.0)
-    k_hat, e = linalg.unit_scaled(k)
-    factor = spec.power(-0.5) @ k_hat
-    lower = _lower_bound(linalg.operator_norm(factor), e)
-    factor_t = np.ldexp(factor, e)
-    factor_t.flags.writeable = False
-    return KFusionReport(True, lower, upper, factor_t, residual)
 
 
 def kfusion_verify(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_TOL) -> KFusionReport:
     """Verify or refute the system against the operator ``k``: a range
     defect above ``tol`` refutes, with the defect attached.  K is scaled by
     a power of two, so no product overflows.  The range defect and the
-    verified report are memoized per K on the system's spectrum; the
-    report's ``factor_t`` is read-only."""
-    k = linalg.as_operator(k, system.ambient_dim, "operator K")
-    linalg.check_tol(tol)
-    return _verify_checked(system.spectrum(), k, tol)
+    verified report are kept in K's memo record on the system's spectrum;
+    the report's ``factor_t`` is read-only."""
+    return _checked(system, k, tol)[2]
 
 
 def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_TOL):
@@ -196,15 +209,15 @@ def refutation_witness(system: WeightedSubspaceSystem, k, tol: float = DEFAULT_T
     can exist.  Returns None exactly when ``kfusion_verify`` verifies at
     ``tol``: the verdict is that of its (memoized) report.
     """
-    k = linalg.as_operator(k, system.ambient_dim, "operator K")
-    linalg.check_tol(tol)
-    spec = system.spectrum()
-    if _verify_checked(spec, k, tol).is_kff:
+    spec, rec, report = _checked(system, k, tol)
+    if report.is_kff:
         return None
-    k_hat, _ = linalg.unit_scaled(k)
-    null_basis = spec.null_basis()
-    direction = null_basis @ linalg.dominant_singular(k_hat.T @ null_basis)[1]
-    return direction / np.linalg.norm(direction)
+    if rec.direction is None:
+        k_hat, _ = linalg.unit_scaled(rec.k)
+        null_basis = spec.null_basis()
+        direction = null_basis @ linalg.dominant_singular(k_hat.T @ null_basis)[1]
+        rec.direction = linalg.read_only(direction / np.linalg.norm(direction))
+    return rec.direction
 
 
 @dataclass(frozen=True)
@@ -241,25 +254,23 @@ def atomic_decompose(
     coefficients are beyond the float range.
     """
     f = linalg.as_vector(f, n=system.ambient_dim)
-    k = linalg.as_operator(k, system.ambient_dim, "operator K")
-    linalg.check_tol(tol)
-    spec = system.spectrum()
-    report = _verify_checked(spec, k, tol)
+    spec, rec, report = _checked(system, k, tol)
     if not report.is_kff:
         raise PreconditionError(
             "system is refuted for this operator "
             f"(range defect {report.residual:.3e}); no atomic decomposition "
             "with a uniform constant exists"
         )
-    gamma = _memoized(spec, "gamma", k, lambda: system.analysis_operator() @ (spec.pinv() @ k))
+    if rec.gamma is None:
+        rec.gamma = linalg.read_only(system.analysis_operator() @ (spec.pinv() @ rec.k))
     with np.errstate(over="ignore", invalid="ignore"):
-        kf = k @ f
-        blocks = gamma @ f
+        kf = rec.k @ f
+        blocks = rec.gamma @ f
     if not (np.isfinite(kf).all() and np.isfinite(blocks).all()):
         raise InputError("K f or its coefficients gamma f are beyond the float range")
     constant = 0.0 if math.isinf(report.optimal_lower) else 1.0 / math.sqrt(report.optimal_lower)
-    bundle = CoefficientBundle(blocks.reshape(len(system), system.ambient_dim))
-    return AtomicDecomposition(gamma, bundle, constant)
+    bundle = CoefficientBundle(blocks.reshape(len(system), system.ambient_dim), _trusted=True)
+    return AtomicDecomposition(rec.gamma, bundle, constant)
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +324,17 @@ def frame_operator_chain_check(
     (``_chain_margins``), computed once per pair: ``tol`` only decides
     whether each part holds.
     """
-    n = system.ambient_dim
-    k = linalg.as_operator(k, n, "operator K")
-    linalg.check_tol(tol)
-    spec = system.spectrum()
-    report = _verify_checked(spec, k, tol)
+    spec, rec, report = _checked(system, k, tol)
     if not report.is_kff:
         raise PreconditionError("system is refuted for this operator")
-    margins = _memoized(spec, "chain", k, lambda: _chain_margins(system, spec, k, report))
+    if rec.chain is None:
+        rec.chain = (_chain_margins(system, spec, rec.k, report),
+                     "inverse" if spec.rank() == system.ambient_dim else "pseudo-inverse")
+    margins, branch = rec.chain
     return ChainReport(
         parts={name: PartResult(m >= -tol, m)
                for name, m in zip(("psd_chain", "range_norms", "inverse_norms"), margins)},
-        branch="inverse" if spec.rank() == n else "pseudo-inverse",
+        branch=branch,
         lower=report.optimal_lower,
         upper=report.optimal_upper,
     )
@@ -457,16 +467,12 @@ def range_transfer_check(
     """Check that verification for ``k`` transfers to any operator ``t``
     whose range is contained in the range of ``k``.  Vacuous (no assertion)
     when the inclusion fails."""
-    k = linalg.as_operator(k, system.ambient_dim, "operator K")
-    t = linalg.as_operator(t, system.ambient_dim, "operator T")
-    linalg.check_tol(tol)
-    spec = system.spectrum()
-    base = _verify_checked(spec, k, tol)
+    _, k_rec, base = _checked(system, k, tol)
+    _, t_rec, transferred = _checked(system, t, tol, "operator T")
     if not base.is_kff:
         raise PreconditionError("system is refuted for the base operator")
-    transferred = _verify_checked(spec, t, tol)
     try:
-        douglas_factor(t, k, tol)
+        douglas_factor(t_rec.k, k_rec.k, tol)
         inclusion = True
     except RangeInclusionError:
         inclusion = False

@@ -46,6 +46,7 @@ powers of S, are computed once per spectrum and shared read-only.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -63,7 +64,7 @@ _MAX_SWEEPS = 100
 _GRAM_STEP_TOL = 1e-15
 _MAX_SQUARINGS = 50
 _SYM_TOL = 1e-8
-_MEMO_SIZE = 32  # values per Spectrum memo; the oldest is evicted first
+_MEMO_SIZE = 36  # values per Spectrum memo (32 operator records, 4 spare); oldest evicted first
 _MEMO_LOCK = threading.Lock()
 
 
@@ -76,8 +77,14 @@ def _as_array(obj, name: str, ndim: int) -> np.ndarray:
         raise InputError(f"{name}: not interpretable as a real {kind}: {exc}") from None
     if a.ndim != ndim:
         raise InputError(f"{name}: expected a {ndim}-D {kind}, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name}: entries must be finite (no NaN/Inf)")
+    return a
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a value shared between callers."""
+    a.flags.writeable = False
     return a
 
 
@@ -245,10 +252,10 @@ class Spectrum:
     ``eigenvalues`` ascending; ``eigenvectors`` has unit-norm, pairwise
     orthogonal columns in matching order, so S = V diag(w) V.T.  For a PSD
     matrix it also carries the functional calculus, on the one rank cut
-    ``kept``.
+    ``kept`` (a mask formed once, outside the memo).
 
     A spectrum memoizes what is derived from S alone: ``power(p)`` per
-    exponent, and through ``memoized`` the per-operator values of
+    exponent, and through ``memoized`` the one record per operator of
     ``kfusion``.  The memo holds at most _MEMO_SIZE values, evicting the
     oldest first; its arrays are read-only, and an exception is raised on
     every call, never stored.
@@ -287,10 +294,10 @@ class Spectrum:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
 
-    @property
+    @functools.cached_property
     def kept(self) -> np.ndarray:
-        """Mask of the eigenvalues kept by the rank cut ``_kept``."""
-        return _kept(self.eigenvalues)
+        """Mask of the eigenvalues kept by the rank cut ``_kept``; once, read-only."""
+        return read_only(_kept(self.eigenvalues))
 
     def rank(self) -> int:
         return int(np.count_nonzero(self.kept))

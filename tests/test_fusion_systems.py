@@ -347,8 +347,8 @@ def test_analysis_operator_is_cached_and_read_only():
             value[0] = 0.0
 
 
-@pytest.mark.parametrize("blocks", [[[1.0, 0.0], [1.0]], [[np.nan, 0.0]], []],
-                         ids=["ragged", "nan", "empty"])
+@pytest.mark.parametrize("blocks", [[[1.0, 0.0], [1.0]], [[np.nan, 0.0]], [[0.0, -np.inf]], []],
+                         ids=["ragged", "nan", "inf", "empty"])
 def test_bundle_input_is_validated(blocks):
     with pytest.raises(InputError):
         CoefficientBundle(blocks)

@@ -593,15 +593,85 @@ def test_memoized_arrays_are_read_only():
             value[0, 0] = 0.0
 
 
-def test_memo_stays_bounded_over_many_operators():
+def _raise_on_call(monkeypatch):
+    """Make every factorization and the validation of K raise: a call that
+    still succeeds was answered from the memo."""
+    def boom(*args, **kwargs):
+        raise AssertionError("factored or validated again")
+
+    for name in ("sym_eig", "svd", "dominant_singular", "as_operator"):
+        monkeypatch.setattr(linalg, name, boom)
+
+
+def _all_results(system, k, f):
+    """Every memoized result for (system, K) and f, as bytes and reprs."""
+    rep = kfusion_verify(system, k)
+    out = [repr(rep.to_json()), refutation_witness(system, k)]
+    if rep.is_kff:
+        dec = atomic_decompose(system, k, f)
+        out += [rep.factor_t, dec.gamma, dec.bundle.stacked(), repr(dec.constant),
+                repr(frame_operator_chain_check(system, k).to_json())]
+    return [x.tobytes() if isinstance(x, np.ndarray) else x for x in out]
+
+
+def _operator_keys(spec, k):
+    return [key for key in spec._memo if isinstance(key, tuple) and k.tobytes() in key]
+
+
+@pytest.mark.parametrize("pair", [_verified_pair, lambda seed: refuted_instance(Rng(seed))],
+                         ids=["verified", "refuted"])
+def test_one_memo_record_per_operator(pair):
+    system, k = pair(47)
+    k = np.asarray(k, float)
+    _all_results(system, k, np.ones(system.ambient_dim))
+    assert _operator_keys(system.spectrum(), k) == [(k.shape, k.tobytes())]
+
+
+@pytest.mark.parametrize("pair", [_verified_pair, lambda seed: refuted_instance(Rng(seed))],
+                         ids=["verified", "refuted"])
+def test_a_repeat_call_is_byte_equal_and_neither_factors_nor_validates(pair, monkeypatch):
+    system, k = pair(48)
+    fresh, _ = pair(48)  # an equal system with an empty memo
+    k = np.asarray(k, float)
+    f = Rng(5).normals(system.ambient_dim)
+    first = _all_results(system, k, f)
+    _raise_on_call(monkeypatch)
+    assert _all_results(system, k, f) == first
+    monkeypatch.undo()
+    assert _all_results(fresh, k, f) == first
+
+
+def test_invalid_operators_never_hit_the_memo():
+    system, k = _verified_pair(49)
+    n = system.ambient_dim
+    kfusion_verify(system, k)
+    for bad in (np.nan, np.inf, -np.inf):
+        k_bad = k.copy()
+        k_bad[0, 0] = bad
+        with pytest.raises(InputError, match="operator K: entries must be finite"):
+            kfusion_verify(system, k_bad)
+    with pytest.raises(InputError, match="operator K: expected a 2-D matrix, got ndim=1"):
+        atomic_decompose(system, k.ravel(), np.ones(n))  # K's bytes, another shape
+    with pytest.raises(InputError, match=f"operator K is {n * n}x1, expected {n}x{n}"):
+        frame_operator_chain_check(system, k.reshape(n * n, 1))
+    # equal values in another byte order are converted, then hit
+    assert kfusion_verify(system, k.astype(">f8")) is kfusion_verify(system, k)
+
+
+def test_memo_stays_bounded_over_many_operators(monkeypatch):
     system, k = _verified_pair(45)
     spec = system.spectrum()
     f = np.ones(system.ambient_dim)
-    for i in range(100):
-        atomic_decompose(system, (1.0 + i / 64) * k, f)
+    operators = [(1.0 + i / 64) * k for i in range(100)]
+    results = [_all_results(system, kj, f) for kj in operators]
     assert len(spec._memo) <= linalg._MEMO_SIZE
-    last = (1.0 + 99 / 64) * k
+    last = operators[-1]
     assert kfusion_verify(system, last) is kfusion_verify(system, last)
+    # one record per operator, so the 32 added last are all still answered
+    # without a factorization or a validation of K
+    _raise_on_call(monkeypatch)
+    for kj, want in zip(operators[-32:], results[-32:]):
+        assert _all_results(system, kj, f) == want
 
 
 def test_memo_is_safe_to_share_between_threads():
@@ -941,8 +1011,8 @@ def test_self_atomic_check_of_no_trials_checks_the_basis():
 
 
 def test_chain_check_validates_k_once(monkeypatch):
+    # on the memo miss; a hit is a K validated before, so it validates none
     system, k = _verified_pair(50)
-    frame_operator_chain_check(system, k)
     calls = []
     as_operator = linalg.as_operator
 
@@ -952,7 +1022,10 @@ def test_chain_check_validates_k_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "as_operator", counted)
     frame_operator_chain_check(system, k)
-    assert len(calls) == 1, calls
+    assert calls.count((system.ambient_dim, "operator K")) == 1, calls
+    del calls[:]
+    frame_operator_chain_check(system, k)
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,15 @@ def test_round_robin_schedule_covers_each_pair_once(n):
     assert len(_kernels._round_robin(n)) == (n if n % 2 else max(n - 1, 0))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 22])
+def test_off_norm_indices_are_cached_read_only_in_triu_order(n):
+    upper = _kernels._upper(n)
+    assert _kernels._upper(n) is upper
+    for got, want in zip(upper, np.triu_indices(n, 1)[::-1]):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert not got.flags.writeable
+
+
 def _symmetric_corpus(n, rng):
     """Inputs of ``jacobi_eigh`` as ``sym_eig`` passes them: symmetric,
     largest entry in [0.5, 1)."""
@@ -564,6 +575,21 @@ def test_spectrum_power_is_memoized_and_read_only():
         assert not value.flags.writeable
         with pytest.raises(ValueError):
             value[0, 0] = 1.0
+
+
+def test_spectrum_rank_mask_is_formed_once_and_read_only():
+    spec = linalg.sym_eig(np.diag([4.0, 1e-12, 0.0, 1.0]))
+    kept = spec.kept
+    assert spec.kept is kept and not kept.flags.writeable
+    assert kept.tolist() == linalg._kept(spec.eigenvalues).tolist() == [False, False, True, True]
+    assert spec.rank() == 2 and spec.null_basis().shape == (4, 2)
+    assert len(spec._memo) == 0  # the mask takes no memo slot
+
+
+def test_readme_states_the_memo_size():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"The memo is bounded \((\d+) values per spectrum", readme)
+    assert stated == [str(linalg._MEMO_SIZE)]
 
 
 def test_spectrum_power_beyond_the_float_range_is_never_memoized():
